@@ -439,6 +439,65 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One record of each of the seven tags.
+    fn one_of_each_tag() -> Vec<Record> {
+        vec![
+            Record::Submitted {
+                id: 1,
+                spec_json: r#"{"model":"m","priority":3}"#.into(),
+            },
+            Record::Started { id: 1, attempt: 2 },
+            Record::Retried {
+                id: 1,
+                error: "disk hiccup: ünïcode".into(),
+            },
+            Record::Completed {
+                id: 1,
+                model_version: 9,
+            },
+            Record::Failed {
+                id: 2,
+                error: "nope".into(),
+            },
+            Record::Cancelled { id: 3 },
+            Record::CancelRequested { id: u64::MAX },
+        ]
+    }
+
+    /// Write `records` into a fresh journal and return its bytes.
+    fn journal_bytes(name: &str, records: &[Record]) -> Vec<u8> {
+        let path = temp_path(name);
+        std::fs::remove_file(&path).ok();
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        for r in records {
+            journal.append(r).unwrap();
+        }
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    #[test]
+    fn every_tag_matches_golden_bytes() {
+        let golden: &[u8] = include_bytes!("../tests/golden/all_tags.journal");
+        assert_eq!(
+            journal_bytes("golden_encode", &one_of_each_tag()),
+            golden,
+            "encoding drifted from the fixture"
+        );
+        let path = temp_path("golden_decode");
+        std::fs::write(&path, golden).unwrap();
+        let (_journal, replayed) = Journal::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(replayed, one_of_each_tag());
+        assert_eq!(
+            journal_bytes("golden_reencode", &replayed),
+            golden,
+            "decode → encode is not the identity"
+        );
+    }
+
     #[test]
     fn wrong_magic_and_version_are_rejected() {
         let path = temp_path("magic");
