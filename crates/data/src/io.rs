@@ -13,28 +13,19 @@
 //! (non-finite values excepted — they are rejected at export time, since
 //! a sufficient-statistics pass cannot absorb a NaN meaningfully).
 //!
-//! ## `LEASTDAT` binary (version 1, all scalars little-endian)
+//! ## `LEASTDAT` binary
 //!
-//! ```text
-//! offset  size   field
-//! 0       8      magic  b"LEASTDAT"
-//! 8       4      format version       u32 (= 1)
-//! 12      8      d (column count)     u64
-//! 20      8      n (row count)        u64
-//! 28      ..     column names         d × (u32 length | utf-8 bytes)
-//! ..      n·d·8  samples, row-major   f64 bit patterns
-//! ..      8      FNV-1a-64 checksum   u64 over every preceding byte
-//! ```
-//!
-//! Rows are stored row-major on purpose: a one-pass Gram accumulation
-//! needs whole observations, so a row-record layout streams with O(d)
-//! reader memory no matter how large `n` grows (a column-major layout
-//! would force either `d` passes over the file or an `n`-sized buffer).
-//! The checksum is computed incrementally on both sides, so neither the
-//! writer nor the reader ever buffers the full payload.
+//! A streamed `LEASTDAT` envelope, version 1 (DESIGN.md §9.1), whose body
+//! is `d u64 | n u64 | d column names (u32 len + utf-8) | n·d f64 samples,
+//! row-major`. Rows are stored row-major on purpose: a one-pass Gram
+//! accumulation needs whole observations, so a row-record layout streams
+//! with O(d) reader memory no matter how large `n` grows (a column-major
+//! layout would force either `d` passes over the file or an `n`-sized
+//! buffer). The checksum is computed incrementally on both sides, so
+//! neither the writer nor the reader ever buffers the full payload.
 
 use crate::dataset::Dataset;
-use least_linalg::serialize::Fnv1a64;
+use least_linalg::serialize::{write_f64_slice, write_str, write_u64, Envelope};
 use least_linalg::{LinalgError, Result};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -45,6 +36,9 @@ pub const BINARY_MAGIC: &[u8; 8] = b"LEASTDAT";
 
 /// Current binary dataset format version.
 pub const BINARY_VERSION: u32 = 1;
+
+/// The `LEASTDAT` envelope (magic + version), shared with the reader.
+pub const BINARY_ENVELOPE: Envelope = Envelope::new(BINARY_MAGIC, BINARY_VERSION);
 
 /// Synthetic column names `X0..X{d-1}` used when a dataset carries none.
 pub fn default_column_names(d: usize) -> Vec<String> {
@@ -64,21 +58,20 @@ fn export_names(data: &Dataset) -> Vec<String> {
         .unwrap_or_else(|| default_column_names(data.num_vars()))
 }
 
-/// Reject values the ingestion algebra cannot represent, and (for CSV)
-/// names that would corrupt the header line.
+/// Reject values the ingestion algebra cannot represent, and names that
+/// would corrupt the header line (CSV) or overflow a length prefix.
 fn validate_export(data: &Dataset, names: &[String], csv: bool) -> Result<()> {
     if let Some(bad) = data.matrix().as_slice().iter().find(|v| !v.is_finite()) {
         return Err(LinalgError::InvalidArgument(format!(
             "cannot export non-finite sample value {bad}"
         )));
     }
-    if csv {
-        for name in names {
-            if name.contains(',') || name.contains('\n') || name.contains('\r') {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "column name {name:?} contains a CSV delimiter"
-                )));
-            }
+    for name in names {
+        if u32::try_from(name.len()).is_err() || (csv && name.contains([',', '\n', '\r'])) {
+            return Err(LinalgError::InvalidArgument(format!(
+                "column name {:?} is too long or contains a CSV delimiter",
+                name.chars().take(64).collect::<String>()
+            )));
         }
     }
     Ok(())
@@ -111,53 +104,26 @@ pub fn export_csv(data: &Dataset, path: impl AsRef<Path>) -> Result<()> {
     write_csv(data, &mut w)
 }
 
-/// A writer that feeds the incremental checksum with every byte written.
-struct ChecksumWriter<W: Write> {
-    inner: W,
-    hasher: Fnv1a64,
-}
-
-impl<W: Write> ChecksumWriter<W> {
-    fn write_all(&mut self, bytes: &[u8]) -> Result<()> {
-        self.hasher.update(bytes);
-        self.inner.write_all(bytes).map_err(io_err)
-    }
-}
-
 /// Write a dataset in the `LEASTDAT` binary record format to any sink.
 pub fn write_binary<W: Write>(data: &Dataset, out: &mut W) -> Result<()> {
     let names = export_names(data);
     validate_export(data, &names, false)?;
-    let mut w = ChecksumWriter {
-        inner: out,
-        hasher: Fnv1a64::new(),
-    };
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&BINARY_VERSION.to_le_bytes())?;
-    w.write_all(&(data.num_vars() as u64).to_le_bytes())?;
-    w.write_all(&(data.num_samples() as u64).to_le_bytes())?;
+    let mut header = Vec::new();
+    write_u64(&mut header, data.num_vars() as u64);
+    write_u64(&mut header, data.num_samples() as u64);
     for name in &names {
-        let bytes = name.as_bytes();
-        w.write_all(
-            &(u32::try_from(bytes.len()).map_err(|_| {
-                LinalgError::InvalidArgument("column name longer than u32::MAX bytes".into())
-            })?)
-            .to_le_bytes(),
-        )?;
-        w.write_all(bytes)?;
+        write_str(&mut header, name);
     }
+    let mut w = BINARY_ENVELOPE.writer(out).map_err(io_err)?;
+    w.write_all(&header).map_err(io_err)?;
     // Row-major payload, one row's bit patterns at a time.
     let mut row_buf = Vec::with_capacity(data.num_vars() * 8);
     for row in data.matrix().rows_iter() {
         row_buf.clear();
-        for &v in row {
-            row_buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        w.write_all(&row_buf)?;
+        write_f64_slice(&mut row_buf, row);
+        w.write_all(&row_buf).map_err(io_err)?;
     }
-    let checksum = w.hasher.finish();
-    w.inner.write_all(&checksum.to_le_bytes()).map_err(io_err)?;
-    w.inner.flush().map_err(io_err)
+    w.seal().map_err(io_err)
 }
 
 /// Write a dataset in the `LEASTDAT` binary format to a file path.

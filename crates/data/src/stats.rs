@@ -25,7 +25,7 @@
 use crate::dataset::Dataset;
 use crate::io::io_err;
 use least_linalg::serialize::{
-    fnv1a64, read_dense, write_dense, write_f64_slice, write_u32, write_u64, ByteReader,
+    read_dense, write_dense, write_f64_slice, write_file_atomic, write_u32, write_u64, Envelope,
 };
 use least_linalg::{DenseMatrix, LinalgError, Result};
 use std::path::Path;
@@ -36,35 +36,26 @@ pub const STATS_MAGIC: &[u8; 8] = b"LEASTSST";
 /// Current sufficient-statistics artifact format version.
 pub const STATS_VERSION: u32 = 1;
 
-/// Which preprocessing was folded into [`SufficientStats::gram`].
+const ENVELOPE: Envelope = Envelope::new(STATS_MAGIC, STATS_VERSION);
+
+/// Which preprocessing was folded into [`SufficientStats::gram`]. The
+/// discriminant is the artifact's on-disk tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preprocess {
     /// Raw second moments `XᵀX`.
-    Raw,
+    Raw = 0,
     /// Column-centered: `(X − 1μᵀ)ᵀ(X − 1μᵀ)`.
-    Center,
+    Center = 1,
     /// Column-standardized (zero-variance columns centered only).
-    Standardize,
+    Standardize = 2,
 }
 
 impl Preprocess {
-    fn tag(self) -> u32 {
-        match self {
-            Preprocess::Raw => 0,
-            Preprocess::Center => 1,
-            Preprocess::Standardize => 2,
-        }
-    }
-
     fn from_tag(tag: u32) -> Result<Self> {
-        match tag {
-            0 => Ok(Preprocess::Raw),
-            1 => Ok(Preprocess::Center),
-            2 => Ok(Preprocess::Standardize),
-            other => Err(LinalgError::InvalidArgument(format!(
-                "unknown preprocess tag {other}"
-            ))),
-        }
+        [Preprocess::Raw, Preprocess::Center, Preprocess::Standardize]
+            .into_iter()
+            .find(|p| *p as u32 == tag)
+            .ok_or_else(|| LinalgError::InvalidArgument(format!("unknown preprocess tag {tag}")))
     }
 }
 
@@ -205,57 +196,29 @@ impl SufficientStats {
         }
     }
 
-    /// Serialize as a versioned, checksummed artifact (see DESIGN.md §9):
-    /// `LEASTSST | version | preprocess | n | d | means | scales | gram |
-    /// FNV-1a-64`. Bit patterns throughout — save → load → save is
+    /// Serialize as a versioned, checksummed `LEASTSST` envelope (see
+    /// DESIGN.md §9.2, §12) with body `preprocess | n | d | means | scales
+    /// | gram`. Bit patterns throughout — save → load → save is
     /// byte-identical.
     pub fn to_bytes(&self) -> Vec<u8> {
         let d = self.dim();
-        let mut out = Vec::with_capacity(44 + 16 * d + 8 * d * d);
-        out.extend_from_slice(STATS_MAGIC);
-        write_u32(&mut out, STATS_VERSION);
-        write_u32(&mut out, self.preprocess.tag());
-        write_u64(&mut out, self.n);
-        write_u64(&mut out, d as u64);
-        write_f64_slice(&mut out, &self.means);
-        write_f64_slice(&mut out, &self.scales);
-        write_dense(&mut out, &self.gram);
-        let checksum = fnv1a64(&out);
-        write_u64(&mut out, checksum);
-        out
+        ENVELOPE.encode(36 + 16 * d + 8 * d * d, |out| {
+            write_u32(out, self.preprocess as u32);
+            write_u64(out, self.n);
+            write_u64(out, d as u64);
+            write_f64_slice(out, &self.means);
+            write_f64_slice(out, &self.scales);
+            write_dense(out, &self.gram);
+        })
     }
 
     /// Deserialize an artifact written by [`Self::to_bytes`], validating
     /// magic, version, checksum and internal shape consistency.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 8 + 4 + 4 + 8 + 8 + 8 {
-            return Err(LinalgError::InvalidArgument(
-                "truncated sufficient-statistics artifact".into(),
-            ));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let declared = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        if fnv1a64(body) != declared {
-            return Err(LinalgError::InvalidArgument(
-                "sufficient-statistics artifact checksum mismatch".into(),
-            ));
-        }
-        let mut r = ByteReader::new(body);
-        if r.read_bytes(8)? != STATS_MAGIC {
-            return Err(LinalgError::InvalidArgument(
-                "not a LEASTSST artifact (bad magic)".into(),
-            ));
-        }
-        let version = r.read_u32()?;
-        if version != STATS_VERSION {
-            return Err(LinalgError::InvalidArgument(format!(
-                "unsupported LEASTSST version {version}"
-            )));
-        }
+        let mut r = ENVELOPE.open(bytes)?;
         let preprocess = Preprocess::from_tag(r.read_u32()?)?;
         let n = r.read_u64()?;
-        let d = usize::try_from(r.read_u64()?)
-            .map_err(|_| LinalgError::InvalidArgument("dimension exceeds word size".into()))?;
+        let d = r.read_dim()?;
         let means = r.read_f64_vec(d)?;
         let scales = r.read_f64_vec(d)?;
         let gram = read_dense(&mut r)?;
@@ -265,12 +228,7 @@ impl SufficientStats {
                 expected: (d, d),
             });
         }
-        if r.remaining() != 0 {
-            return Err(LinalgError::InvalidArgument(format!(
-                "{} trailing bytes after LEASTSST payload",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         if n == 0 {
             return Err(LinalgError::InvalidArgument(
                 "LEASTSST artifact declares zero samples".into(),
@@ -285,9 +243,9 @@ impl SufficientStats {
         })
     }
 
-    /// Write the artifact to a file.
+    /// Write the artifact to a file, crash-safely (temp file + rename).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path, self.to_bytes()).map_err(io_err)
+        write_file_atomic(path, &self.to_bytes()).map_err(io_err)
     }
 
     /// Load an artifact from a file.

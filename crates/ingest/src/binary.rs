@@ -5,8 +5,8 @@
 //! the very pass that would have consumed it, never by a panic.
 
 use crate::source::ChunkSource;
-use least_data::io::{io_err, BINARY_MAGIC, BINARY_VERSION};
-use least_linalg::serialize::Fnv1a64;
+use least_data::io::{io_err, BINARY_ENVELOPE};
+use least_linalg::serialize::{ByteReader, Hashed};
 use least_linalg::{DenseMatrix, LinalgError, Result};
 use std::fs::File;
 use std::io::{BufReader, Read};
@@ -19,8 +19,7 @@ const MAX_NAME_BYTES: u32 = 1 << 20;
 /// A `LEASTDAT` binary dataset streamed row-chunk by row-chunk.
 #[derive(Debug)]
 pub struct BinaryReader<R> {
-    input: R,
-    hasher: Fnv1a64,
+    input: Hashed<R>,
     names: Vec<String>,
     d: usize,
     /// Rows the header declares but the reader has not yet returned.
@@ -36,66 +35,26 @@ impl BinaryReader<BufReader<File>> {
     }
 }
 
-fn truncated(what: &str) -> LinalgError {
-    LinalgError::InvalidArgument(format!("truncated LEASTDAT stream: {what}"))
-}
-
 impl<R: Read> BinaryReader<R> {
     /// Wrap any byte stream and parse the header.
-    pub fn from_reader(mut input: R) -> Result<Self> {
-        let mut hasher = Fnv1a64::new();
-        let mut read_hashed = |buf: &mut [u8], what: &str| -> Result<()> {
-            input.read_exact(buf).map_err(|_| truncated(what))?;
-            hasher.update(buf);
-            Ok(())
-        };
-
-        let mut magic = [0u8; 8];
-        read_hashed(&mut magic, "magic")?;
-        if &magic != BINARY_MAGIC {
-            return Err(LinalgError::InvalidArgument(
-                "not a LEASTDAT stream (bad magic)".into(),
-            ));
-        }
-        let mut u32buf = [0u8; 4];
-        read_hashed(&mut u32buf, "version")?;
-        let version = u32::from_le_bytes(u32buf);
-        if version != BINARY_VERSION {
-            return Err(LinalgError::InvalidArgument(format!(
-                "unsupported LEASTDAT version {version}"
-            )));
-        }
-        let mut u64buf = [0u8; 8];
-        read_hashed(&mut u64buf, "column count")?;
-        let d = usize::try_from(u64::from_le_bytes(u64buf))
+    pub fn from_reader(input: R) -> Result<Self> {
+        let mut input = BINARY_ENVELOPE.reader(input)?;
+        let d = usize::try_from(u64::from_le_bytes(input.read_array()?))
             .map_err(|_| LinalgError::InvalidArgument("d exceeds the word size".into()))?;
         if d == 0 {
             return Err(LinalgError::InvalidArgument(
                 "LEASTDAT stream declares zero columns".into(),
             ));
         }
-        read_hashed(&mut u64buf, "row count")?;
-        let n = u64::from_le_bytes(u64buf);
-
-        let mut names = Vec::with_capacity(d);
-        for i in 0..d {
-            read_hashed(&mut u32buf, "column-name length")?;
-            let len = u32::from_le_bytes(u32buf);
-            if len > MAX_NAME_BYTES {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "column name {i} declares {len} bytes (corrupt header?)"
-                )));
-            }
-            let mut name = vec![0u8; len as usize];
-            read_hashed(&mut name, "column name")?;
-            names.push(String::from_utf8(name).map_err(|_| {
-                LinalgError::InvalidArgument(format!("column name {i} is not valid utf-8"))
-            })?);
+        let n = u64::from_le_bytes(input.read_array()?);
+        // `d` is unchecked until the names are read, so `names` grows as
+        // they arrive instead of being sized by it up front.
+        let mut names = Vec::new();
+        for _ in 0..d {
+            names.push(input.read_str(MAX_NAME_BYTES)?);
         }
-
         Ok(Self {
             input,
-            hasher,
             names,
             d,
             remaining_rows: n,
@@ -103,29 +62,12 @@ impl<R: Read> BinaryReader<R> {
         })
     }
 
-    /// After the last row: read the 8-byte trailer, compare with the
-    /// running digest, and require EOF.
+    /// After the last row: check the checksum trailer and require EOF.
     fn verify_trailer(&mut self) -> Result<()> {
-        if self.verified {
-            return Ok(());
+        if !self.verified {
+            self.input.verify()?;
+            self.verified = true;
         }
-        let mut trailer = [0u8; 8];
-        self.input
-            .read_exact(&mut trailer)
-            .map_err(|_| truncated("checksum trailer"))?;
-        let declared = u64::from_le_bytes(trailer);
-        if declared != self.hasher.finish() {
-            return Err(LinalgError::InvalidArgument(
-                "LEASTDAT checksum mismatch (corrupt or torn file)".into(),
-            ));
-        }
-        let mut extra = [0u8; 1];
-        if self.input.read(&mut extra).map_err(io_err)? != 0 {
-            return Err(LinalgError::InvalidArgument(
-                "trailing bytes after the LEASTDAT checksum".into(),
-            ));
-        }
-        self.verified = true;
         Ok(())
     }
 }
@@ -155,15 +97,9 @@ impl<R: Read> ChunkSource for BinaryReader<R> {
             .and_then(|c| c.checked_mul(8))
             .ok_or_else(|| LinalgError::InvalidArgument("chunk byte count overflows".into()))?;
         let mut buf = vec![0u8; bytes];
-        self.input
-            .read_exact(&mut buf)
-            .map_err(|_| truncated("row payload"))?;
-        self.hasher.update(&buf);
+        self.input.fill(&mut buf)?;
         self.remaining_rows -= rows as u64;
-        let values: Vec<f64> = buf
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect();
+        let values = ByteReader::new(&buf).read_f64_vec(rows * self.d)?;
         // Validate the trailer eagerly on the final chunk so a caller that
         // stops at the row count still gets integrity checking.
         if self.remaining_rows == 0 {
@@ -261,6 +197,18 @@ mod tests {
         let mut newer = bytes;
         newer[8] = 9; // version field (checksum never reached: header rejects first)
         assert!(BinaryReader::from_reader(Cursor::new(&newer[..])).is_err());
+    }
+
+    #[test]
+    fn huge_declared_column_count_is_an_error_not_a_panic() {
+        // A header declaring d = u64::MAX >> 1 columns, then EOF: must be
+        // a typed error, not a capacity-overflow abort.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"LEASTDAT");
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(u64::MAX >> 1).to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        assert!(BinaryReader::from_reader(Cursor::new(&bytes[..])).is_err());
     }
 
     #[test]

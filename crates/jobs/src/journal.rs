@@ -1,17 +1,11 @@
 //! The queue's write-ahead journal: an append-only record log that makes
 //! job state survive process death.
 //!
-//! Format (little-endian, like every LEAST artifact):
-//!
-//! ```text
-//! header:  "LEASTJNL" (8 bytes) | u32 version (= 1)
-//! record:  u32 payload_len | payload | u64 FNV-1a-64(payload)
-//! payload: u8 tag | tag-specific fields   (strings: u32 len + UTF-8)
-//! ```
-//!
-//! Every record is individually checksummed with the workspace's shared
-//! [`least_linalg::serialize::Fnv1a64`]. Two corruption classes are
-//! treated very differently:
+//! Format (DESIGN.md §10.3): the shared `LEASTJNL` envelope header, then
+//! records `u32 payload_len | payload | u64 FNV-1a-64(payload)` with
+//! payload `u8 tag | fields`. The file only grows, so instead of a
+//! whole-file trailer every record carries its own checksum. Two
+//! corruption classes are treated very differently:
 //!
 //! * a **torn tail** — the process died mid-append, so the last record is
 //!   incomplete. Detected as "record extends past EOF"; the tail is
@@ -22,7 +16,11 @@
 //!   stops with [`JobError::BadJournal`] so the operator decides.
 
 use crate::error::{JobError, Result};
-use least_linalg::serialize::{write_u32, write_u64, Fnv1a64};
+use least_linalg::serialize::{
+    check_sum, fnv1a64, write_str, write_u32, write_u64, ByteReader, Envelope, EnvelopeError,
+    HEADER_LEN,
+};
+use least_linalg::LinalgError;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -31,6 +29,8 @@ use std::path::Path;
 pub const JOURNAL_MAGIC: &[u8; 8] = b"LEASTJNL";
 /// Journal format version this build reads and writes.
 pub const JOURNAL_VERSION: u32 = 1;
+
+const ENVELOPE: Envelope = Envelope::new(JOURNAL_MAGIC, JOURNAL_VERSION);
 
 /// One durable state transition. The queue appends a record *before*
 /// acting on the transition, so replay can only over-approximate work
@@ -65,140 +65,74 @@ const TAG_FAILED: u8 = 5;
 const TAG_CANCELLED: u8 = 6;
 const TAG_CANCEL_REQUESTED: u8 = 7;
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 impl Record {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Append the record's payload to `out`: tag, id, then the variant's
+    /// own field, if any.
+    fn encode(&self, out: &mut Vec<u8>) {
+        let (tag, id) = match *self {
+            Record::Submitted { id, .. } => (TAG_SUBMITTED, id),
+            Record::Started { id, .. } => (TAG_STARTED, id),
+            Record::Retried { id, .. } => (TAG_RETRIED, id),
+            Record::Completed { id, .. } => (TAG_COMPLETED, id),
+            Record::Failed { id, .. } => (TAG_FAILED, id),
+            Record::Cancelled { id } => (TAG_CANCELLED, id),
+            Record::CancelRequested { id } => (TAG_CANCEL_REQUESTED, id),
+        };
+        out.push(tag);
+        write_u64(out, id);
         match self {
-            Record::Submitted { id, spec_json } => {
-                out.push(TAG_SUBMITTED);
-                write_u64(&mut out, *id);
-                write_str(&mut out, spec_json);
-            }
-            Record::Started { id, attempt } => {
-                out.push(TAG_STARTED);
-                write_u64(&mut out, *id);
-                write_u32(&mut out, *attempt);
-            }
-            Record::Retried { id, error } => {
-                out.push(TAG_RETRIED);
-                write_u64(&mut out, *id);
-                write_str(&mut out, error);
-            }
-            Record::Completed { id, model_version } => {
-                out.push(TAG_COMPLETED);
-                write_u64(&mut out, *id);
-                write_u64(&mut out, *model_version);
-            }
-            Record::Failed { id, error } => {
-                out.push(TAG_FAILED);
-                write_u64(&mut out, *id);
-                write_str(&mut out, error);
-            }
-            Record::Cancelled { id } => {
-                out.push(TAG_CANCELLED);
-                write_u64(&mut out, *id);
-            }
-            Record::CancelRequested { id } => {
-                out.push(TAG_CANCEL_REQUESTED);
-                write_u64(&mut out, *id);
-            }
+            Record::Submitted { spec_json: s, .. }
+            | Record::Retried { error: s, .. }
+            | Record::Failed { error: s, .. } => write_str(out, s),
+            Record::Started { attempt, .. } => write_u32(out, *attempt),
+            Record::Completed { model_version, .. } => write_u64(out, *model_version),
+            Record::Cancelled { .. } | Record::CancelRequested { .. } => {}
         }
-        out
     }
 }
 
-/// A decoding cursor over one record payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    offset: u64,
-}
-
-impl<'a> Cursor<'a> {
-    fn corrupt(&self, reason: impl Into<String>) -> JobError {
-        JobError::BadJournal {
-            offset: self.offset,
-            reason: reason.into(),
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(self.corrupt("payload shorter than its fields"));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("non-UTF-8 string field"))
-    }
-
-    fn finish(self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(self.corrupt("trailing bytes after record fields"));
-        }
-        Ok(())
-    }
-}
-
-fn decode(payload: &[u8], offset: u64) -> Result<Record> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-        offset,
-    };
-    let record = match c.u8()? {
+/// Verify and decode one record payload.
+fn decode(payload: &[u8], stored: u64) -> least_linalg::Result<Record> {
+    check_sum(stored, fnv1a64(payload))?;
+    let mut r = ByteReader::new(payload);
+    let record = match r.read_u8()? {
         TAG_SUBMITTED => Record::Submitted {
-            id: c.u64()?,
-            spec_json: c.string()?,
+            id: r.read_u64()?,
+            spec_json: r.read_str()?,
         },
         TAG_STARTED => Record::Started {
-            id: c.u64()?,
-            attempt: c.u32()?,
+            id: r.read_u64()?,
+            attempt: r.read_u32()?,
         },
         TAG_RETRIED => Record::Retried {
-            id: c.u64()?,
-            error: c.string()?,
+            id: r.read_u64()?,
+            error: r.read_str()?,
         },
         TAG_COMPLETED => Record::Completed {
-            id: c.u64()?,
-            model_version: c.u64()?,
+            id: r.read_u64()?,
+            model_version: r.read_u64()?,
         },
         TAG_FAILED => Record::Failed {
-            id: c.u64()?,
-            error: c.string()?,
+            id: r.read_u64()?,
+            error: r.read_str()?,
         },
-        TAG_CANCELLED => Record::Cancelled { id: c.u64()? },
-        TAG_CANCEL_REQUESTED => Record::CancelRequested { id: c.u64()? },
-        tag => return Err(c.corrupt(format!("unknown record tag {tag}"))),
+        TAG_CANCELLED => Record::Cancelled { id: r.read_u64()? },
+        TAG_CANCEL_REQUESTED => Record::CancelRequested { id: r.read_u64()? },
+        tag => {
+            return Err(LinalgError::InvalidArgument(format!(
+                "unknown record tag {tag}"
+            )))
+        }
     };
-    c.finish()?;
+    r.finish()?;
     Ok(record)
+}
+
+/// The next whole record frame as `(payload, stored checksum)`, or `None`
+/// if the remaining bytes cannot hold one.
+fn next_frame<'a>(r: &mut ByteReader<'a>) -> Option<(&'a [u8], u64)> {
+    let len = r.read_u32().ok()? as usize;
+    Some((r.read_bytes(len).ok()?, r.read_u64().ok()?))
 }
 
 /// The open journal: an append handle over the verified record log.
@@ -214,27 +148,17 @@ impl Journal {
     /// committed prefix is a hard [`JobError::BadJournal`].
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Record>)> {
         let path = path.as_ref();
-        let fresh = !path.exists();
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
-        let mut header = Vec::with_capacity(12);
-        header.extend_from_slice(JOURNAL_MAGIC);
-        write_u32(&mut header, JOURNAL_VERSION);
-        if fresh {
-            file.write_all(&header)?;
-            file.flush()?;
-            file.sync_data()?;
-            return Ok((Self { file }, Vec::new()));
-        }
-
         let bytes = std::fs::read(path)?;
-        if bytes.len() < 12 {
-            // Shorter than a header. A crash between file creation and
-            // the header fsync leaves a prefix of the header (usually 0
-            // bytes) — that is a torn write, not corruption: start
+        let header = ENVELOPE.header();
+        if bytes.len() < HEADER_LEN {
+            // Shorter than a header: a fresh file, or a crash between file
+            // creation and the header fsync left a prefix of the header
+            // (usually 0 bytes) — a torn write, not corruption: start
             // fresh. Anything else short is some other file.
             if !header.starts_with(&bytes) {
                 return Err(JobError::BadMagic);
@@ -245,66 +169,41 @@ impl Journal {
             file.sync_data()?;
             return Ok((Self { file }, Vec::new()));
         }
-        if &bytes[..8] != JOURNAL_MAGIC {
-            return Err(JobError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != JOURNAL_VERSION {
-            return Err(JobError::UnsupportedVersion(version));
-        }
+        ENVELOPE.check_header(&bytes).map_err(|e| match e {
+            EnvelopeError::UnsupportedVersion(v) => JobError::UnsupportedVersion(v),
+            _ => JobError::BadMagic,
+        })?;
 
         let mut records = Vec::new();
-        let mut pos = 12usize;
-        let mut committed = pos;
-        while pos < bytes.len() {
-            // A record that does not fit in the remaining bytes can only
-            // be the torn last append; everything before `committed` has
-            // already checksum-verified.
-            if pos + 4 > bytes.len() {
-                break;
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            if pos + 4 + len + 8 > bytes.len() {
-                break;
-            }
-            let payload = &bytes[pos + 4..pos + 4 + len];
-            let stored = u64::from_le_bytes(
-                bytes[pos + 4 + len..pos + 4 + len + 8]
-                    .try_into()
-                    .expect("8"),
-            );
-            let mut hasher = Fnv1a64::new();
-            hasher.update(payload);
-            let computed = hasher.finish();
-            if computed != stored {
-                return Err(JobError::BadJournal {
-                    offset: pos as u64,
-                    reason: format!(
-                        "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-                    ),
-                });
-            }
-            records.push(decode(payload, pos as u64)?);
-            pos += 4 + len + 8;
-            committed = pos;
+        let mut r = ByteReader::new(&bytes[HEADER_LEN..]);
+        let mut committed = 0;
+        // A record that does not fit in the remaining bytes can only be
+        // the torn last append; everything before `committed` has already
+        // checksum-verified.
+        while let Some((payload, stored)) = next_frame(&mut r) {
+            records.push(decode(payload, stored).map_err(|e| JobError::BadJournal {
+                offset: (HEADER_LEN + committed) as u64,
+                reason: e.to_string(),
+            })?);
+            committed = r.position();
         }
-        if committed < bytes.len() {
+        if HEADER_LEN + committed < bytes.len() {
             // Torn tail: drop the partial append.
-            file.set_len(committed as u64)?;
+            file.set_len((HEADER_LEN + committed) as u64)?;
             file.sync_data()?;
         }
         Ok((Self { file }, records))
     }
 
-    /// Durably append one record (write + flush + `sync_data`).
+    /// Durably append one record (one write + flush + `sync_data`).
     pub fn append(&mut self, record: &Record) -> Result<()> {
-        let payload = record.encode();
-        let mut framed = Vec::with_capacity(payload.len() + 12);
-        write_u32(&mut framed, payload.len() as u32);
-        framed.extend_from_slice(&payload);
-        let mut hasher = Fnv1a64::new();
-        hasher.update(&payload);
-        write_u64(&mut framed, hasher.finish());
+        // Frame in place: length placeholder, payload, then the checksum.
+        let mut framed = vec![0u8; 4];
+        record.encode(&mut framed);
+        let len = (framed.len() - 4) as u32;
+        framed[..4].copy_from_slice(&len.to_le_bytes());
+        let checksum = fnv1a64(&framed[4..]);
+        write_u64(&mut framed, checksum);
         self.file.write_all(&framed)?;
         self.file.flush()?;
         self.file.sync_data()?;

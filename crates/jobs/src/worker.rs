@@ -26,6 +26,7 @@ use crate::spec::{JobBackend, JobSource, JobSpec};
 use least_core::{FittedSem, LeastDense, LeastSparse};
 use least_data::SufficientStats;
 use least_ingest::{ingest_binary, ingest_csv, IngestConfig};
+use least_linalg::serialize::write_file_atomic;
 use least_serve::{ModelArtifact, ModelRegistry};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -214,7 +215,7 @@ impl JobRunner {
         // re-run it.
         if let (Some(dir), Some(bytes)) = (&self.config.artifact_dir, bytes) {
             let path = dir.join(format!("{}.v{version}.model", spec.model));
-            if let Err(e) = std::fs::write(&path, &bytes) {
+            if let Err(e) = write_file_atomic(&path, &bytes) {
                 eprintln!("warning: persisting {} failed: {e}", path.display());
             }
         }

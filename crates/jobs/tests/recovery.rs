@@ -10,8 +10,9 @@ mod common;
 
 use common::*;
 use least_jobs::{JobQueue, JobRunner, JobState, QueueConfig, RunnerConfig};
+use least_linalg::DenseMatrix;
 use least_serve::json::JsonValue;
-use least_serve::ModelRegistry;
+use least_serve::{ModelArtifact, ModelMeta, ModelRegistry, WeightMatrix};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command};
@@ -131,6 +132,44 @@ fn kill_dash_nine_mid_job_then_restart_completes_it() {
     assert!(queue.claim().unwrap().is_none(), "nothing left to run");
 
     std::fs::remove_file(&csv).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn leftover_temp_artifact_neither_breaks_boot_nor_loads() {
+    let dir = temp_path("leftover_tmp", ".dir");
+    std::fs::remove_dir_all(&dir).ok();
+    let models = dir.join("models");
+    std::fs::create_dir_all(&models).unwrap();
+    let artifact = ModelArtifact::new(
+        WeightMatrix::Dense(DenseMatrix::zeros(2, 2)),
+        vec![0.0; 2],
+        vec![1.0; 2],
+        ModelMeta {
+            threshold: 0.1,
+            fingerprint: "kept".into(),
+        },
+    )
+    .unwrap();
+    artifact.save_to_path(models.join("kept.v1.model")).unwrap();
+    // What a crash mid-save leaves behind: a torn temp file of a newer
+    // version, and a whole one that never got renamed into place.
+    let bytes = artifact.to_bytes();
+    std::fs::write(models.join("kept.v2.model.tmp"), &bytes[..bytes.len() / 2]).unwrap();
+    std::fs::write(models.join("ghost.v3.model.tmp"), &bytes).unwrap();
+
+    let (mut child, addr) = spawn_job_server(&dir, 1);
+    let (status, listing) = request_once(addr, "GET", "/models", b"");
+    assert_eq!(status, 200, "{}", listing.render());
+    let models = listing.get("models").and_then(JsonValue::as_array).unwrap();
+    let ids: Vec<_> = models
+        .iter()
+        .filter_map(|m| m.get("id").and_then(JsonValue::as_str))
+        .collect();
+    assert_eq!(ids, ["kept"], "{}", listing.render());
+    let (status, _) = request_once(addr, "POST", "/shutdown", b"");
+    assert_eq!(status, 200);
+    assert!(child.wait().expect("wait").success());
     std::fs::remove_dir_all(&dir).ok();
 }
 

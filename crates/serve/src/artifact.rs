@@ -6,23 +6,9 @@
 //! weight matrix (dense or CSR), per-node intercepts and noise variances,
 //! and provenance metadata into one self-validating byte stream.
 //!
-//! ## Format (version 1, all scalars little-endian)
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"LEASTMDL"
-//! 8       4     format version        u32 (= 1)
-//! 12      4     backend tag           u32 (0 = dense, 1 = csr)
-//! 16      8     d (node count)        u64
-//! 24      8     edge threshold        f64 bit pattern
-//! 32      4     fingerprint length F  u32
-//! 36      F     solver fingerprint    utf-8 bytes
-//! ..      d·8   intercepts            f64 bit patterns
-//! ..      d·8   noise variances       f64 bit patterns
-//! ..      ..    weights payload       least_linalg::serialize encoding
-//! ..      8     FNV-1a-64 checksum    u64 over every preceding byte
-//! ```
-//!
+//! The format (DESIGN.md §8.1) is a `LEASTMDL` envelope, version 1, whose
+//! body is `backend tag u32 | d u64 | threshold f64 | fingerprint str |
+//! intercepts f64[d] | noise variances f64[d] | dense or CSR weights`.
 //! Floats are stored as raw bit patterns, so save → load → save reproduces
 //! the original byte stream **exactly** (`-0.0`, subnormals and NaN
 //! payloads included). The checksum makes truncation and single-byte
@@ -31,8 +17,8 @@
 use crate::error::{Result, ServeError};
 use least_core::FittedSem;
 use least_linalg::serialize::{
-    read_csr, read_dense, write_csr, write_dense, write_f64, write_f64_slice, write_u32, write_u64,
-    ByteReader,
+    read_csr, read_dense, write_csr, write_dense, write_f64, write_f64_slice, write_file_atomic,
+    write_str, write_u32, write_u64, Envelope,
 };
 use least_linalg::{CsrMatrix, DenseMatrix};
 use std::path::Path;
@@ -42,6 +28,8 @@ pub const MAGIC: &[u8; 8] = b"LEASTMDL";
 
 /// Current artifact format version.
 pub const FORMAT_VERSION: u32 = 1;
+
+const ENVELOPE: Envelope = Envelope::new(MAGIC, FORMAT_VERSION);
 
 /// Fitted edge weights in either backend representation.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,60 +147,30 @@ impl ModelArtifact {
 
     /// Serialize to the versioned byte format, checksum included.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.dim() * 16);
-        out.extend_from_slice(MAGIC);
-        write_u32(&mut out, FORMAT_VERSION);
-        write_u32(
-            &mut out,
-            match self.weights {
-                WeightMatrix::Dense(_) => 0,
-                WeightMatrix::Sparse(_) => 1,
-            },
-        );
-        write_u64(&mut out, self.dim() as u64);
-        write_f64(&mut out, self.meta.threshold);
-        write_u32(&mut out, self.meta.fingerprint.len() as u32);
-        out.extend_from_slice(self.meta.fingerprint.as_bytes());
-        write_f64_slice(&mut out, &self.intercepts);
-        write_f64_slice(&mut out, &self.noise_vars);
-        match &self.weights {
-            WeightMatrix::Dense(m) => write_dense(&mut out, m),
-            WeightMatrix::Sparse(m) => write_csr(&mut out, m),
-        }
-        let checksum = fnv1a64(&out);
-        write_u64(&mut out, checksum);
-        out
+        ENVELOPE.encode(52 + self.dim() * 16, |out| {
+            // Backend tag: 0 = dense, 1 = csr.
+            write_u32(out, matches!(self.weights, WeightMatrix::Sparse(_)) as u32);
+            write_u64(out, self.dim() as u64);
+            write_f64(out, self.meta.threshold);
+            write_str(out, &self.meta.fingerprint);
+            write_f64_slice(out, &self.intercepts);
+            write_f64_slice(out, &self.noise_vars);
+            match &self.weights {
+                WeightMatrix::Dense(m) => write_dense(out, m),
+                WeightMatrix::Sparse(m) => write_csr(out, m),
+            }
+        })
     }
 
     /// Deserialize and validate a byte stream produced by
     /// [`Self::to_bytes`]. Checks magic, version, checksum, payload
     /// consistency, and that the declared backend matches the payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(ServeError::Malformed(
-                "shorter than the fixed header".into(),
-            ));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(ServeError::BadMagic);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let computed = fnv1a64(body);
-        if stored != computed {
-            return Err(ServeError::ChecksumMismatch { stored, computed });
-        }
-        let mut r = ByteReader::new(&body[MAGIC.len()..]);
-        let version = r.read_u32().map_err(malformed)?;
-        if version != FORMAT_VERSION {
-            return Err(ServeError::UnsupportedVersion(version));
-        }
+        let mut r = ENVELOPE.open(bytes)?;
         let backend = r.read_u32().map_err(malformed)?;
-        let d = r.read_u64().map_err(malformed)? as usize;
+        let d = r.read_dim().map_err(malformed)?;
         let threshold = r.read_f64().map_err(malformed)?;
-        let fp_len = r.read_u32().map_err(malformed)? as usize;
-        let fingerprint = String::from_utf8(r.read_bytes(fp_len).map_err(malformed)?.to_vec())
-            .map_err(|_| ServeError::Malformed("fingerprint is not valid utf-8".into()))?;
+        let fingerprint = r.read_str().map_err(malformed)?;
         let intercepts = r.read_f64_vec(d).map_err(malformed)?;
         let noise_vars = r.read_f64_vec(d).map_err(malformed)?;
         let weights = match backend {
@@ -220,12 +178,7 @@ impl ModelArtifact {
             1 => WeightMatrix::Sparse(read_csr(&mut r).map_err(malformed)?),
             tag => return Err(ServeError::Malformed(format!("unknown backend tag {tag}"))),
         };
-        if r.remaining() != 0 {
-            return Err(ServeError::Malformed(format!(
-                "{} trailing bytes after the payload",
-                r.remaining()
-            )));
-        }
+        r.finish().map_err(malformed)?;
         if weights.dim() != d {
             return Err(ServeError::Malformed(format!(
                 "declared d = {d} does not match weight matrix dimension {}",
@@ -243,10 +196,9 @@ impl ModelArtifact {
         )
     }
 
-    /// Write the artifact to a file.
+    /// Write the artifact to a file, crash-safely (temp file + rename).
     pub fn save_to_path(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
+        Ok(write_file_atomic(path, &self.to_bytes())?)
     }
 
     /// Read and validate an artifact from a file.
@@ -259,9 +211,7 @@ fn malformed(e: least_linalg::LinalgError) -> ServeError {
     ServeError::Malformed(e.to_string())
 }
 
-/// The workspace-shared FNV-1a 64-bit integrity hash (re-exported here for
-/// the artifact format's historical call sites; the implementation now
-/// lives with the rest of the codec in `least_linalg::serialize`).
+/// The workspace FNV-1a-64 hash, re-exported for existing call sites.
 pub use least_linalg::serialize::fnv1a64;
 
 #[cfg(test)]

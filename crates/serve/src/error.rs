@@ -1,5 +1,6 @@
 //! Error type for the serving layer.
 
+use least_linalg::serialize::EnvelopeError;
 use least_linalg::LinalgError;
 use std::fmt;
 
@@ -70,6 +71,19 @@ impl std::error::Error for ServeError {
 impl From<LinalgError> for ServeError {
     fn from(e: LinalgError) -> Self {
         ServeError::Linalg(e)
+    }
+}
+
+impl From<EnvelopeError> for ServeError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::BadMagic => ServeError::BadMagic,
+            EnvelopeError::UnsupportedVersion(v) => ServeError::UnsupportedVersion(v),
+            EnvelopeError::ChecksumMismatch { stored, computed } => {
+                ServeError::ChecksumMismatch { stored, computed }
+            }
+            EnvelopeError::Malformed(msg) => ServeError::Malformed(msg),
+        }
     }
 }
 
