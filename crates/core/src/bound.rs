@@ -154,20 +154,23 @@ fn diag_similarity_dense(s: &DenseMatrix, b: &[f64]) -> DenseMatrix {
         .map(|&x| if x > 0.0 { 1.0 / x } else { 0.0 })
         .collect();
     let mut out = DenseMatrix::zeros(d, d);
-    par::for_each_row_mut(out.as_mut_slice(), d, dense_row_grain(d), |i, row_out| {
-        let inv_i = inv[i];
-        if inv_i == 0.0 {
-            return;
-        }
-        for ((o, &v), &bl) in row_out.iter_mut().zip(s.row(i)).zip(b) {
-            *o = v * inv_i * bl;
+    let (grain, row_start) = (dense_row_grain(d) * d, |i: usize| i * d);
+    par::for_each_split_mut(out.as_mut_slice(), d, grain, row_start, |rows, block| {
+        for (i, row_out) in rows.zip(block.chunks_mut(d)) {
+            let inv_i = inv[i];
+            if inv_i == 0.0 {
+                continue;
+            }
+            for ((o, &v), &bl) in row_out.iter_mut().zip(s.row(i)).zip(b) {
+                *o = v * inv_i * bl;
+            }
         }
     });
     out
 }
 
-/// Per-thread minimum row count for `d×d` row-parallel loops: keeps each
-/// worker above ~16k elements so threading never pessimizes small solves.
+/// Minimum rows per block for `d×d` row-parallel loops: keeps each block
+/// above ~16k elements so threading never pessimizes small solves.
 pub(crate) fn dense_row_grain(d: usize) -> usize {
     ((1 << 14) / d.max(1)).max(1)
 }

@@ -26,15 +26,10 @@
 use crate::bound::{dense_row_grain, SparseBoundForward, SpectralBoundForward, POW_EPS};
 use least_linalg::vecops::powf_floored;
 use least_linalg::{par, CsrMatrix, DenseMatrix};
+use std::convert::identity;
 
-/// Minimum pattern slots per worker in the sparse backward pass.
+/// Minimum pattern slots per block in the sparse backward pass.
 const SLOT_GRAIN: usize = 1 << 14;
-
-/// Per-thread slot-chunk length for slot-parallel loops, respecting
-/// [`SLOT_GRAIN`].
-fn slot_chunk(nnz: usize) -> usize {
-    nnz.div_ceil(par::max_threads().max(1)).max(SLOT_GRAIN)
-}
 
 /// `x[m] = α(c/r)^{1−α}`, `y[m] = (1−α)(r/c)^α`, ε-guarded to match the
 /// forward's zero conventions (`b[m] = 0 ⇒ x[m] = y[m] = 0`).
@@ -76,10 +71,13 @@ pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatri
     // Lemma 3: top-level gradient G[i,l] = x[i] + y[l] (row-parallel).
     let (xk, yk) = xy(&levels[k].r, &levels[k].c, alpha);
     let grain = dense_row_grain(d);
+    let row_start = |i: usize| i * d;
     let mut g = DenseMatrix::zeros(d, d);
-    par::for_each_row_mut(g.as_mut_slice(), d, grain, |i, row| {
-        for (o, &yl) in row.iter_mut().zip(&yk) {
-            *o = xk[i] + yl;
+    par::for_each_split_mut(g.as_mut_slice(), d, grain * d, row_start, |rows, block| {
+        for (i, row) in rows.zip(block.chunks_mut(d)) {
+            for (o, &yl) in row.iter_mut().zip(&yk) {
+                *o = xk[i] + yl;
+            }
         }
     });
 
@@ -104,31 +102,41 @@ pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatri
             local
         });
         // The second sum touches only z[m] — row-disjoint.
-        par::for_each_row_mut(&mut z, 1, grain, |m, zm| {
-            let inv_bm2 = inv_or_zero(b[m] * b[m]);
-            if inv_bm2 == 0.0 {
-                return;
+        par::for_each_split_mut(&mut z, d, grain, identity, |rows, block| {
+            for (m, zm) in rows.zip(block) {
+                let inv_bm2 = inv_or_zero(b[m] * b[m]);
+                if inv_bm2 == 0.0 {
+                    continue;
+                }
+                let row_term: f64 = g
+                    .row(m)
+                    .iter()
+                    .zip(level.s.row(m))
+                    .zip(b)
+                    .map(|((&gv, &sv), &bq)| gv * sv * bq)
+                    .sum();
+                *zm -= row_term * inv_bm2;
             }
-            let row_term: f64 = g
-                .row(m)
-                .iter()
-                .zip(level.s.row(m))
-                .zip(b)
-                .map(|((&gv, &sv), &bq)| gv * sv * bq)
-                .sum();
-            zm[0] -= row_term * inv_bm2;
         });
         let (x, y) = xy(&level.r, &level.c, alpha);
         // G_new[i,l] = G[i,l]·b[l]/b[i] + x[i]z[i] + y[l]z[l] (row-parallel).
         let mut g_new = DenseMatrix::zeros(d, d);
-        par::for_each_row_mut(g_new.as_mut_slice(), d, grain, |i, out_row| {
-            let inv_bi = inv_or_zero(b[i]);
-            let xi_zi = x[i] * z[i];
-            let g_row = g.row(i);
-            for (l, o) in out_row.iter_mut().enumerate() {
-                *o = g_row[l] * inv_bi * b[l] + xi_zi + y[l] * z[l];
-            }
-        });
+        par::for_each_split_mut(
+            g_new.as_mut_slice(),
+            d,
+            grain * d,
+            row_start,
+            |rows, block| {
+                for (i, out_row) in rows.zip(block.chunks_mut(d)) {
+                    let inv_bi = inv_or_zero(b[i]);
+                    let xi_zi = x[i] * z[i];
+                    let g_row = g.row(i);
+                    for (l, o) in out_row.iter_mut().enumerate() {
+                        *o = g_row[l] * inv_bi * b[l] + xi_zi + y[l] * z[l];
+                    }
+                }
+            },
+        );
         g = g_new;
     }
 
@@ -152,18 +160,11 @@ pub fn backward_sparse(fwd: &SparseBoundForward, w: &CsrMatrix) -> Vec<f64> {
     let row_of = w.expand_row_indices();
     let col_of = w.col_indices();
 
-    // Chunk length computed once: the parallel closures derive each
-    // chunk's slot offset from it, so it must be the exact value the
-    // chunking used (max_threads() can change under a runtime override).
-    let chunk_len = slot_chunk(nnz);
-
     // Lemma 3 restricted to the mask (slot-parallel: slots are disjoint).
     let mut g = vec![0.0; nnz];
     let (xk, yk) = xy(&levels[k].r, &levels[k].c, alpha);
-    par::for_each_chunk_mut(&mut g, chunk_len, |block, chunk| {
-        let base = block * chunk_len;
-        for (i, o) in chunk.iter_mut().enumerate() {
-            let slot = base + i;
+    par::for_each_split_mut(&mut g, nnz, SLOT_GRAIN, identity, |slots, chunk| {
+        for (slot, o) in slots.zip(chunk) {
             *o = xk[row_of[slot] as usize] + yk[col_of[slot] as usize];
         }
     });
@@ -173,8 +174,8 @@ pub fn backward_sparse(fwd: &SparseBoundForward, w: &CsrMatrix) -> Vec<f64> {
         let b = &level.b;
         let s_vals = level.s.values();
         // z via one pass over the pattern — a scatter into both endpoint
-        // nodes of every slot, so each worker accumulates a private vector
-        // combined in slot-range order.
+        // nodes of every slot, so each block accumulates a private vector
+        // combined in block order.
         let z = par::accumulate_ranges(nnz, SLOT_GRAIN, d, |slots| {
             let mut local = vec![0.0; d];
             for slot in slots {
@@ -190,10 +191,8 @@ pub fn backward_sparse(fwd: &SparseBoundForward, w: &CsrMatrix) -> Vec<f64> {
         });
         let (x, y) = xy(&level.r, &level.c, alpha);
         // Propagate on the pattern (slot-parallel).
-        par::for_each_chunk_mut(&mut g, chunk_len, |block, chunk| {
-            let base = block * chunk_len;
-            for (idx, gv) in chunk.iter_mut().enumerate() {
-                let slot = base + idx;
+        par::for_each_split_mut(&mut g, nnz, SLOT_GRAIN, identity, |slots, chunk| {
+            for (slot, gv) in slots.zip(chunk) {
                 let i = row_of[slot] as usize;
                 let l = col_of[slot] as usize;
                 *gv = *gv * inv_or_zero(b[i]) * b[l] + x[i] * z[i] + y[l] * z[l];

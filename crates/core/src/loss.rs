@@ -100,10 +100,8 @@ impl GramLoss {
     /// cost is `O(Σ_slots nnz(col))` — independent of `n`, and far below
     /// the dense `O(d²·nnz)` as long as the support is sparse.
     ///
-    /// Parallelized over the CSR row blocks (each slot's gradient is
-    /// computed independently, so gradients are bit-identical at any
-    /// thread count; the scalar loss terms are range-order reductions with
-    /// the usual last-ulp caveat from `least_linalg::par`).
+    /// Parallelized over CSR row blocks: each slot's gradient is computed
+    /// independently, and the scalar loss terms are summed in block order.
     pub fn sparse_value_and_grad(&self, w: &CsrMatrix) -> Result<(f64, Vec<f64>)> {
         let d = w.rows();
         if self.gram.rows() != d || w.cols() != d {
@@ -162,7 +160,7 @@ impl GramLoss {
     }
 }
 
-/// Minimum CSR rows per worker in the sparse Gram-loss path.
+/// Minimum CSR rows per block in the sparse Gram-loss path.
 const GRAM_SPARSE_ROW_GRAIN: usize = 16;
 
 /// Mini-batch dense loss: `R = X_B·W − X_B`, `∇ = (2/B)·X_BᵀR + λ·sign`.
@@ -199,17 +197,13 @@ pub fn sparse_value_and_grad(
     let b = x_batch.rows();
     let nnz = w.nnz();
 
-    // Each worker owns a disjoint row range and accumulates (loss, grad);
-    // partials are combined in range order, so results are deterministic
-    // run-to-run at a fixed thread count (changing the pool size regroups
-    // the partial sums and may shift the result by an ulp; see
-    // `least_linalg::par` module docs).
-    let partials = least_linalg::par::map_ranges(b, SAMPLE_ROW_GRAIN, |rows| {
+    // Each block of sample rows accumulates (loss, grad); partials are
+    // combined in block order, into the first one.
+    let mut partials = par::map_ranges(b, SAMPLE_ROW_GRAIN, |rows| {
         sparse_loss_rows(x_batch, w, rows.start, rows.end)
-    });
-
-    let mut smooth = 0.0;
-    let mut grad = vec![0.0; nnz];
+    })
+    .into_iter();
+    let (mut smooth, mut grad) = partials.next().unwrap_or_else(|| (0.0, vec![0.0; nnz]));
     for (s, g) in partials {
         smooth += s;
         for (acc, v) in grad.iter_mut().zip(g) {
@@ -229,7 +223,7 @@ pub fn sparse_value_and_grad(
     Ok((smooth + lambda * l1, grad))
 }
 
-/// Per-worker kernel: residual + gradient contributions of rows `lo..hi`.
+/// Per-block kernel: residual + gradient contributions of rows `lo..hi`.
 fn sparse_loss_rows(x: &DenseMatrix, w: &CsrMatrix, lo: usize, hi: usize) -> (f64, Vec<f64>) {
     let d = w.rows();
     let nnz = w.nnz();
@@ -270,7 +264,7 @@ fn sparse_loss_rows(x: &DenseMatrix, w: &CsrMatrix, lo: usize, hi: usize) -> (f6
     (smooth, grad)
 }
 
-/// Minimum sample rows per worker in the parallel sparse-loss path.
+/// Minimum sample rows per block in the parallel sparse-loss path.
 const SAMPLE_ROW_GRAIN: usize = 8;
 
 /// `grad += λ·sign(w)` element-wise (0 at 0).

@@ -17,10 +17,12 @@ use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::par;
 use crate::Result;
+use std::convert::identity;
 
-/// Minimum stored entries before the row-parallel kernels split the work
-/// across threads; below this the spawn overhead dominates.
-const PAR_NNZ_THRESHOLD: usize = 1 << 15;
+/// Minimum stored entries per block in the parallel kernels: a matrix
+/// under twice this (32k entries) runs as one serial block, since spawn
+/// overhead would dominate.
+const PAR_NNZ_GRAIN: usize = 1 << 14;
 
 /// Sparse `f64` matrix in CSR format with `u32` indices.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,54 +238,30 @@ impl CsrMatrix {
         })
     }
 
-    /// True when the matrix is large enough for the row-parallel kernels.
-    #[inline]
-    fn parallel_worthwhile(&self) -> bool {
-        self.nnz() >= PAR_NNZ_THRESHOLD && par::max_threads() > 1
-    }
-
-    /// Per-thread row count for row-block parallel kernels.
-    #[inline]
-    fn rows_per_block(&self) -> usize {
-        self.rows.div_ceil(par::max_threads()).max(1)
-    }
-
-    /// Row sums, `O(nnz)`; row-parallel for large matrices.
-    pub fn row_sums(&self) -> Vec<f64> {
-        let row_sum = |r: usize| -> f64 {
-            let (s, e) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            self.values[s..e].iter().sum()
-        };
-        if !self.parallel_worthwhile() {
-            return (0..self.rows).map(row_sum).collect();
-        }
+    /// `out[r] = f(r)` for every row, in row blocks holding at least
+    /// [`PAR_NNZ_GRAIN`] stored entries at the matrix's mean row length.
+    fn map_rows(&self, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
+        let grain = (PAR_NNZ_GRAIN * self.rows).div_ceil(self.nnz().max(1));
         let mut out = vec![0.0; self.rows];
-        let rows_per = self.rows_per_block();
-        par::for_each_chunk_mut(&mut out, rows_per, |block, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = row_sum(block * rows_per + i);
+        par::for_each_split_mut(&mut out, self.rows, grain, identity, |rows, chunk| {
+            for (r, o) in rows.zip(chunk) {
+                *o = f(r);
             }
         });
         out
     }
 
-    /// Column sums, `O(nnz)`; for large matrices each thread scatters into
-    /// a private accumulator and the partials are combined in row order.
+    /// Row sums, `O(nnz)`; row-parallel for large matrices.
+    pub fn row_sums(&self) -> Vec<f64> {
+        self.map_rows(|r| self.row(r).1.iter().sum())
+    }
+
+    /// Column sums, `O(nnz)`: each block of stored entries scatters into a
+    /// private accumulator, and the partials are combined in block order.
     pub fn col_sums(&self) -> Vec<f64> {
-        if !self.parallel_worthwhile() {
-            let mut sums = vec![0.0; self.cols];
-            for (&c, &v) in self.col_idx.iter().zip(&self.values) {
-                sums[c as usize] += v;
-            }
-            return sums;
-        }
-        par::accumulate_ranges(self.rows, self.rows_per_block(), self.cols, |rows| {
+        par::accumulate_ranges(self.nnz(), PAR_NNZ_GRAIN, self.cols, |slots| {
             let mut local = vec![0.0; self.cols];
-            let (s, e) = (
-                self.row_ptr[rows.start] as usize,
-                self.row_ptr[rows.end] as usize,
-            );
-            for (&c, &v) in self.col_idx[s..e].iter().zip(&self.values[s..e]) {
+            for (&c, &v) in self.col_idx[slots.clone()].iter().zip(&self.values[slots]) {
                 local[c as usize] += v;
             }
             local
@@ -331,35 +309,24 @@ impl CsrMatrix {
                 self.rows
             )));
         }
-        let ranges = if self.parallel_worthwhile() {
-            par::split_ranges(self.rows, self.rows_per_block())
-        } else if self.rows == 0 {
-            Vec::new()
-        } else {
-            std::iter::once(0..self.rows).collect()
-        };
-        // Each row block owns the contiguous value span
-        // `row_ptr[block.start]..row_ptr[block.end]`, so the value array can
-        // be split at block boundaries and scaled in parallel.
-        let bounds: Vec<usize> = ranges
-            .iter()
-            .skip(1)
-            .map(|r| self.row_ptr[r.start] as usize)
-            .collect();
         let (row_ptr, col_idx) = (&self.row_ptr, &self.col_idx);
-        par::for_each_split_mut(&mut self.values, &bounds, |piece, vals| {
-            let Some(rows) = ranges.get(piece) else {
-                return;
-            };
-            let base = row_ptr[rows.start] as usize;
-            for r in rows.clone() {
-                let (s, e) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-                let inv_r = if scale[r] > 0.0 { 1.0 / scale[r] } else { 0.0 };
-                for (v, &c) in vals[s - base..e - base].iter_mut().zip(&col_idx[s..e]) {
-                    *v *= inv_r * scale[c as usize];
+        let start = |r: usize| row_ptr[r] as usize;
+        par::for_each_split_mut(
+            &mut self.values,
+            self.rows,
+            PAR_NNZ_GRAIN,
+            start,
+            |rows, vals| {
+                let base = start(rows.start);
+                for r in rows {
+                    let (s, e) = (start(r), start(r + 1));
+                    let inv_r = if scale[r] > 0.0 { 1.0 / scale[r] } else { 0.0 };
+                    for (v, &c) in vals[s - base..e - base].iter_mut().zip(&col_idx[s..e]) {
+                        *v *= inv_r * scale[c as usize];
+                    }
                 }
-            }
-        });
+            },
+        );
         Ok(())
     }
 
@@ -379,17 +346,7 @@ impl CsrMatrix {
                 .map(|(&c, &x)| x * v[c as usize])
                 .sum()
         };
-        if !self.parallel_worthwhile() {
-            return Ok((0..self.rows).map(dot_row).collect());
-        }
-        let mut out = vec![0.0; self.rows];
-        let rows_per = self.rows_per_block();
-        par::for_each_chunk_mut(&mut out, rows_per, |block, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = dot_row(block * rows_per + i);
-            }
-        });
-        Ok(out)
+        Ok(self.map_rows(dot_row))
     }
 
     /// Transposed sparse matrix × dense vector: `out = selfᵀ · v`.

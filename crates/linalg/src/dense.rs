@@ -9,9 +9,10 @@ use crate::Result;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Minimum number of multiply-adds before `matmul` spawns threads. Below
-/// this, threading overhead dominates.
-const PAR_FLOP_THRESHOLD: usize = 1 << 22;
+/// Minimum multiply-adds per block in `matmul` / `t_matmul`: a product
+/// under twice this runs as one serial block, since threading overhead
+/// would dominate.
+const PAR_BLOCK_FLOPS: usize = 1 << 21;
 
 /// Row-major dense `f64` matrix.
 #[derive(Clone, PartialEq)]
@@ -382,16 +383,9 @@ impl DenseMatrix {
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Self::zeros(m, n);
-        let flops = m.saturating_mul(k).saturating_mul(n);
-        let threads = available_threads();
-        if flops < PAR_FLOP_THRESHOLD || threads <= 1 || m < 2 {
-            matmul_rows(&self.data, &other.data, &mut out.data, k, n, 0);
-            return Ok(out);
-        }
-        let rows_per = m.div_ceil(threads);
         let (a, b) = (&self.data, &other.data);
-        crate::par::for_each_chunk_mut(&mut out.data, rows_per * n, |block_idx, out_block| {
-            matmul_rows(a, b, out_block, k, n, block_idx * rows_per);
+        for_each_row_block(&mut out.data, n, k, |rows, out_block| {
+            matmul_rows(a, b, out_block, k, n, rows.start);
         });
         Ok(out)
     }
@@ -407,13 +401,13 @@ impl DenseMatrix {
         }
         let (k, m, n) = (self.rows, self.cols, other.cols);
         let mut out = Self::zeros(m, n);
-        let flops = k.saturating_mul(m).saturating_mul(n);
-        // out[i][j] = sum_r a[r][i] * b[r][j]; accumulate rank-1 updates.
-        let accumulate = |out_block: &mut [f64], lo: usize, hi: usize| {
+        // out[i][j] = sum_r a[r][i] * b[r][j]: output rows are disjoint
+        // across blocks, and each block replays the rank-1 sweep for its own
+        // column slice of `self`.
+        for_each_row_block(&mut out.data, n, k, |cols, out_block| {
             for r in 0..k {
-                let arow = self.row(r);
                 let brow = other.row(r);
-                for (i, &ai) in arow[lo..hi].iter().enumerate() {
+                for (i, &ai) in self.row(r)[cols.clone()].iter().enumerate() {
                     if ai == 0.0 {
                         continue;
                     }
@@ -423,19 +417,6 @@ impl DenseMatrix {
                     }
                 }
             }
-        };
-        let threads = available_threads();
-        if flops < PAR_FLOP_THRESHOLD || threads <= 1 || m < 2 {
-            accumulate(&mut out.data, 0, m);
-            return Ok(out);
-        }
-        // Output rows are disjoint across blocks; each worker replays the
-        // rank-1 sweep for its own column slice of `self`.
-        let rows_per = m.div_ceil(threads);
-        crate::par::for_each_chunk_mut(&mut out.data, rows_per * n, |block, out_block| {
-            let lo = block * rows_per;
-            let hi = (lo + out_block.len() / n).min(m);
-            accumulate(out_block, lo, hi);
         });
         Ok(out)
     }
@@ -474,10 +455,18 @@ fn matmul_rows(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize, row_of
     }
 }
 
-/// Worker-thread count for parallel kernels (see [`crate::par`]; compile-
-/// time 1 without the `parallel` feature).
-pub(crate) fn available_threads() -> usize {
-    crate::par::max_threads()
+/// Run `f(rows, block)` in parallel over blocks of the `n`-column output
+/// `out` of a product whose entries each cost `k` multiply-adds, each
+/// block holding enough rows for [`PAR_BLOCK_FLOPS`].
+fn for_each_row_block(
+    out: &mut [f64],
+    n: usize,
+    k: usize,
+    f: impl Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
+) {
+    let rows = out.len() / n.max(1);
+    let grain = PAR_BLOCK_FLOPS.div_ceil(k.saturating_mul(n).max(1)) * n;
+    crate::par::for_each_split_mut(out, rows, grain, |i| i * n, f);
 }
 
 impl Index<(usize, usize)> for DenseMatrix {

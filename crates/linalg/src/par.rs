@@ -1,34 +1,31 @@
 //! Scoped-thread data parallelism for the workspace's hot loops.
 //!
 //! The offline crate set has no `rayon`, so this module provides the small
-//! subset the kernels actually need — block `map`/`for_each` over index
-//! ranges — on `std::thread::scope`. Every entry point degrades to a plain
-//! serial loop when any of the following holds:
+//! subset the kernels actually need on `std::thread::scope`, as three entry
+//! points: an ordered block map ([`map_ranges`]), an ordered vector
+//! accumulate ([`accumulate_ranges`]) and a disjoint-write split
+//! ([`for_each_split_mut`]).
 //!
-//! * the crate is built without the `parallel` feature (the CI
-//!   `--no-default-features` build): [`max_threads`] is compile-time 1;
-//! * the work is too small for its `grain` (per-thread minimum item
-//!   count), so splitting yields a single range;
-//! * a runtime override pins the pool to one thread
-//!   ([`set_thread_override`], or `LEAST_NUM_THREADS=1`), which is how the
-//!   `engine_throughput` benchmark measures serial and parallel paths in
-//!   one process.
+//! One partition rule serves all three: `0..n` is cut into at most 16
+//! blocks (a power of two) of at least `grain` items, decided by
+//! `(n, grain)` alone. The blocks then run on `min(max_threads(), blocks)`
+//! threads, each taking a contiguous run, and partial results are combined
+//! in block order. Work too small for its `grain` is one block, which is
+//! the serial loop. When [`max_threads`] is 1 (the `--no-default-features`
+//! build, [`set_thread_override`], or `LEAST_NUM_THREADS=1`), all blocks
+//! run in order on the calling thread.
 //!
-//! Determinism: parallelism here only ever partitions *independent* work
-//! (disjoint output rows, or per-range partial reductions combined in
-//! range order), so results are bit-identical from run to run at a fixed
-//! thread count. Across *different* thread counts, disjoint-write kernels
-//! are still bit-identical, but reductions regroup their partial sums
-//! (the partition depends on the pool size), so those may differ at the
-//! last ulp — use a pinned `LEAST_NUM_THREADS` when bit-for-bit
-//! cross-machine reproducibility matters.
+//! Determinism: since neither the partition nor the combining order sees
+//! the pool size, every kernel built on these entry points, reductions
+//! included, is bit-identical across thread counts and between the
+//! parallel and serial builds.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Hard cap on worker threads: past this, spawn overhead and memory
-/// bandwidth dominate for these kernels.
+/// Hard cap on worker threads and on blocks per partition: past this,
+/// spawn overhead and memory bandwidth dominate for these kernels.
 const MAX_POOL: usize = 16;
 
 /// Runtime override; 0 = auto-detect.
@@ -76,73 +73,80 @@ pub fn max_threads() -> usize {
     }
 }
 
-/// Split `0..n` into at most [`max_threads`] contiguous ranges of at least
-/// `grain` items each (the last range may be shorter only when `n` is).
-/// Returns a single range — the caller's serial path — whenever splitting
-/// is not worthwhile.
-pub fn split_ranges(n: usize, grain: usize) -> Vec<Range<usize>> {
-    let grain = grain.max(1);
-    let threads = max_threads().min(n / grain).max(1);
-    if threads <= 1 {
-        return if n == 0 {
-            Vec::new()
-        } else {
-            std::iter::once(0..n).collect()
-        };
-    }
-    let per = n.div_ceil(threads);
-    (0..threads)
-        .map(|t| t * per..((t + 1) * per).min(n))
+/// The partition every entry point uses: `0..n` cut into `count` contiguous
+/// blocks of `⌊n / count⌋` or `⌈n / count⌉` items, where `count` is
+/// `n / grain` rounded down to a power of two and capped at [`MAX_POOL`]
+/// (one block when `n < 2·grain`; none when `n == 0`). It depends on
+/// `(n, grain)` alone, never on the pool size; the power of two lets pools
+/// of 2, 4, 8 or 16 threads take equal runs of blocks.
+fn blocks(n: usize, grain: usize) -> Vec<Range<usize>> {
+    let count = 1 << (n / grain.max(1)).clamp(1, MAX_POOL).ilog2();
+    (0..count)
+        .map(|b| b * n / count..(b + 1) * n / count)
         .filter(|r| !r.is_empty())
         .collect()
 }
 
-/// Apply `f` to each range of a [`split_ranges`] partition of `0..n`,
-/// in parallel, returning the per-range results in range order. The first
-/// range runs on the calling thread.
+/// Apply `f` to every item on `min(max_threads(), items.len())` threads,
+/// each taking a contiguous run of items, and return the results in item
+/// order. The first run executes on the calling thread.
+fn run<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    let threads = max_threads().min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let per = items.len().div_ceil(threads);
+    let mut items = items.into_iter();
+    let mut runs: Vec<Vec<I>> = Vec::with_capacity(threads);
+    while items.len() > 0 {
+        runs.push(items.by_ref().take(per).collect());
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let mut runs = runs.into_iter();
+        let first = runs.next().expect("at least two runs");
+        let workers: Vec<_> = runs
+            .map(|run| scope.spawn(move || run.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out: Vec<R> = first.into_iter().map(f).collect();
+        for worker in workers {
+            out.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        out
+    })
+}
+
+/// Ordered block map: apply `f` to each block of `0..n` (the module's
+/// partition rule) in parallel and return the results in block order.
 pub fn map_ranges<R, F>(n: usize, grain: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    let ranges = split_ranges(n, grain);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
-    }
-    let mut out: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let (first_slot, rest_slots) = out.split_first_mut().expect("non-empty");
-        let mut ranges_iter = ranges.into_iter();
-        let first_range = ranges_iter.next().expect("non-empty");
-        for (slot, range) in rest_slots.iter_mut().zip(ranges_iter) {
-            let f = &f;
-            scope.spawn(move || *slot = Some(f(range)));
-        }
-        *first_slot = Some(f(first_range));
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
-        .collect()
+    run(blocks(n, grain), f)
 }
 
-/// Sum `f` over a [`split_ranges`] partition of `0..n`. Partial sums are
-/// combined in range order, so the result is deterministic for a given
-/// partition.
-pub fn sum_ranges(n: usize, grain: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
-    map_ranges(n, grain, f).into_iter().sum()
-}
-
-/// Element-wise vector reduction of per-range partial vectors: each range
-/// of `0..n` produces a `Vec<f64>` of length `len`, and the partials are
-/// accumulated in range order.
+/// Ordered vector accumulate: each block of `0..n` produces a partial
+/// vector of length `len`, and the partials are summed element-wise in
+/// block order. A single block is returned as is, so the one-block case is
+/// exactly the serial loop.
 pub fn accumulate_ranges(
     n: usize,
     grain: usize,
     len: usize,
     f: impl Fn(Range<usize>) -> Vec<f64> + Sync,
 ) -> Vec<f64> {
-    let partials = map_ranges(n, grain, f);
-    let mut acc = vec![0.0; len];
+    let mut partials = map_ranges(n, grain, f).into_iter();
+    let mut acc = partials.next().unwrap_or_else(|| vec![0.0; len]);
     for partial in partials {
         debug_assert_eq!(partial.len(), len);
         for (a, v) in acc.iter_mut().zip(partial) {
@@ -152,96 +156,58 @@ pub fn accumulate_ranges(
     acc
 }
 
-/// Process `data` in parallel as disjoint chunks of `chunk_len` elements;
-/// `f` receives the chunk index and the chunk. Chunk count should be on
-/// the order of [`max_threads`] — the caller picks `chunk_len`
-/// accordingly (e.g. `rows.div_ceil(threads) * cols` for a row-major
-/// matrix).
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
+/// Disjoint-write split of a buffer holding `n` rows, row `i` starting at
+/// element `offset(i)` (non-decreasing, `offset(0) == 0`, `offset(n) ==
+/// data.len()`): `i·stride` for a row-major matrix, `row_ptr` for CSR
+/// values, the packed row offset for a triangle. The elements are cut into
+/// blocks of at least `grain` elements by the module's partition rule, each
+/// cut moved forward to the next row start, so pieces are balanced by
+/// element count however ragged the rows are. `f(rows, piece)` runs on
+/// every piece in parallel.
+pub fn for_each_split_mut<T, F>(
+    data: &mut [T],
+    n: usize,
+    grain: usize,
+    offset: impl Fn(usize) -> usize,
+    f: F,
+) where
     T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
 {
-    let chunk_len = chunk_len.max(1);
-    if max_threads() <= 1 || data.len() <= chunk_len {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
+    debug_assert_eq!(offset(n), data.len());
+    let parts = blocks(data.len(), grain);
+    if parts.len() <= 1 {
+        return f(0..n, data);
     }
-    std::thread::scope(|scope| {
-        let mut chunks = data.chunks_mut(chunk_len).enumerate();
-        let first = chunks.next();
-        for (i, chunk) in chunks {
-            let f = &f;
-            scope.spawn(move || f(i, chunk));
+    // First row whose start is at or after element `at`.
+    let row_at = |at: usize| {
+        let (mut lo, mut hi) = (0, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if offset(mid) < at {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        if let Some((i, chunk)) = first {
-            f(i, chunk);
+        lo
+    };
+    let mut cuts = vec![0];
+    for block in &parts[1..] {
+        let row = row_at(block.start);
+        if row > cuts[cuts.len() - 1] && row < n {
+            cuts.push(row);
         }
-    });
-}
-
-/// Row-parallel iteration over a row-major buffer: `f(i, row)` runs for
-/// every `cols`-wide row, split into per-thread row blocks of at least
-/// `grain_rows` rows. The workhorse for dense kernels whose output rows
-/// are independent.
-pub fn for_each_row_mut<T, F>(data: &mut [T], cols: usize, grain_rows: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if cols == 0 {
-        return;
     }
-    let rows = data.len() / cols;
-    let rows_per = rows.div_ceil(max_threads().max(1)).max(grain_rows.max(1));
-    for_each_chunk_mut(data, rows_per * cols, |block, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            f(block * rows_per + i, row);
-        }
-    });
-}
-
-/// Process `data` split at the given positions (ascending, within bounds),
-/// in parallel; `f` receives the index of each piece and the piece.
-/// Used for CSR value arrays, whose per-row-block pieces are unequal.
-pub fn for_each_split_mut<T, F>(data: &mut [T], bounds: &[usize], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if bounds.is_empty() {
-        f(0, data);
-        return;
-    }
-    let mut pieces = Vec::with_capacity(bounds.len() + 1);
+    cuts.push(n);
+    let mut pieces = Vec::with_capacity(cuts.len() - 1);
     let mut rest = data;
-    let mut prev = 0usize;
-    for &b in bounds {
-        let (piece, tail) = rest.split_at_mut(b - prev);
-        pieces.push(piece);
+    for pair in cuts.windows(2) {
+        let (piece, tail) = rest.split_at_mut(offset(pair[1]) - offset(pair[0]));
+        pieces.push((pair[0]..pair[1], piece));
         rest = tail;
-        prev = b;
     }
-    pieces.push(rest);
-    if max_threads() <= 1 {
-        for (i, piece) in pieces.into_iter().enumerate() {
-            f(i, piece);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut iter = pieces.into_iter().enumerate();
-        let first = iter.next();
-        for (i, piece) in iter {
-            let f = &f;
-            scope.spawn(move || f(i, piece));
-        }
-        if let Some((i, piece)) = first {
-            f(i, piece);
-        }
-    });
+    run(pieces, |(rows, piece)| f(rows, piece));
 }
 
 #[cfg(test)]
@@ -249,22 +215,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_respects_grain() {
-        // 10 items at grain 8: not worth splitting.
-        assert_eq!(split_ranges(10, 8), vec![0..10]);
-        // Ranges cover 0..n exactly, in order, each non-empty.
-        let ranges = split_ranges(1000, 10);
-        assert!(!ranges.is_empty());
-        assert_eq!(ranges.first().unwrap().start, 0);
-        assert_eq!(ranges.last().unwrap().end, 1000);
-        for pair in ranges.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
+    fn blocks_respect_grain_and_cap() {
+        // 10 items at grain 8: one block.
+        assert_eq!(blocks(10, 8), vec![0..10]);
+        assert!(blocks(0, 4).is_empty());
+        // 3.3 blocks' worth of items rounds down to 2 blocks.
+        assert_eq!(blocks(1000, 300), vec![0..500, 500..1000]);
+        // Blocks cover 0..n exactly, in order, each non-empty, at most 16.
+        for (n, grain) in [(1000, 10), (1000, 300), (17, 1), (4096, 4096), (9, 2)] {
+            let parts = blocks(n, grain);
+            assert!(parts.len().is_power_of_two() && parts.len() <= MAX_POOL);
+            assert!(parts.len() == 1 || parts.iter().all(|r| r.len() >= grain));
+            assert_eq!(parts.first().unwrap().start, 0);
+            assert_eq!(parts.last().unwrap().end, n);
+            for pair in parts.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+            }
+            assert!(parts.iter().all(|r| !r.is_empty()));
         }
-    }
-
-    #[test]
-    fn split_empty_input() {
-        assert!(split_ranges(0, 4).is_empty());
     }
 
     #[test]
@@ -273,13 +241,7 @@ mod tests {
         let mut sorted = firsts.clone();
         sorted.sort_unstable();
         assert_eq!(firsts, sorted);
-    }
-
-    #[test]
-    fn sum_matches_serial() {
-        let expected: f64 = (0..10_000).map(|i| i as f64).sum();
-        let got = sum_ranges(10_000, 64, |r| r.map(|i| i as f64).sum());
-        assert_eq!(got, expected);
+        assert_eq!(firsts.len(), MAX_POOL);
     }
 
     #[test]
@@ -297,42 +259,56 @@ mod tests {
             expected[i % 7] += i as f64;
         }
         assert_eq!(got, expected);
+        assert_eq!(
+            accumulate_ranges(0, 16, 3, |_| unreachable!()),
+            vec![0.0; 3]
+        );
     }
 
     #[test]
-    fn row_mut_visits_rows_in_place() {
+    fn split_cuts_at_row_starts() {
+        // Ragged rows 0..6 of lengths 0, 3, 1, 4, 2, 0.
+        let starts = [0usize, 0, 3, 4, 8, 10, 10];
+        let mut data = vec![usize::MAX; 10];
+        for_each_split_mut(
+            &mut data,
+            6,
+            3,
+            |i| starts[i],
+            |rows, piece| {
+                assert_eq!(piece.len(), starts[rows.end] - starts[rows.start]);
+                let mut k = 0;
+                for r in rows {
+                    for _ in starts[r]..starts[r + 1] {
+                        piece[k] = r;
+                        k += 1;
+                    }
+                }
+            },
+        );
+        assert_eq!(data, vec![1, 1, 1, 2, 3, 3, 3, 3, 4, 4]);
+    }
+
+    #[test]
+    fn split_visits_every_row_once() {
         let (rows, cols) = (37, 5);
         let mut data = vec![0usize; rows * cols];
-        for_each_row_mut(&mut data, cols, 1, |i, row| {
-            for v in row {
-                *v = i;
-            }
-        });
+        for_each_split_mut(
+            &mut data,
+            rows,
+            8,
+            |i| i * cols,
+            |block, piece| {
+                for (i, row) in block.zip(piece.chunks_mut(cols)) {
+                    for v in row {
+                        *v += i + 1;
+                    }
+                }
+            },
+        );
         for (i, row) in data.chunks(cols).enumerate() {
-            assert!(row.iter().all(|&v| v == i));
+            assert!(row.iter().all(|&v| v == i + 1));
         }
-    }
-
-    #[test]
-    fn chunk_mut_touches_every_element_once() {
-        let mut data = vec![0u32; 1003];
-        for_each_chunk_mut(&mut data, 100, |_, chunk| {
-            for v in chunk {
-                *v += 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn split_mut_respects_bounds() {
-        let mut data: Vec<usize> = (0..10).collect();
-        for_each_split_mut(&mut data, &[3, 3, 7], |piece_idx, piece| {
-            for v in piece {
-                *v = piece_idx;
-            }
-        });
-        assert_eq!(data, vec![0, 0, 0, 2, 2, 2, 2, 3, 3, 3]);
     }
 
     #[test]

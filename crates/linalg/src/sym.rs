@@ -15,17 +15,14 @@
 //! *sample order only*:
 //!
 //! * parallelism partitions the **output rows** of `G` (disjoint writes,
-//!   no merged partial sums), so the pool size never regroups an
-//!   accumulation;
+//!   no merged partial sums), so no partition regroups an accumulation;
 //! * each output entry `G[j,l]` accumulates `x[s,j]·x[s,l]` strictly in
 //!   sample order `s`, directly into the running total — never into a
 //!   chunk-local temporary that is folded in later — so re-chunking the
 //!   stream never re-associates a sum.
 //!
 //! Result: `rank_update` over any chunking of the same row stream, at any
-//! thread count, is **bit-identical**. (Contrast with the reduction-style
-//! kernels documented in [`crate::par`], which are only deterministic at a
-//! fixed pool size.)
+//! thread count, is **bit-identical**.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -41,8 +38,15 @@ pub struct PackedSym {
     data: Vec<f64>,
 }
 
-/// Minimum packed entries per worker piece in [`PackedSym::rank_update`].
+/// Minimum packed entries per block in [`PackedSym::rank_update`].
 const PACKED_GRAIN: usize = 1 << 12;
+
+/// Offset of row `j`'s first packed entry (`G[j,j]`) in an order-`d`
+/// triangle; `row_offset(d, d)` is the packed length.
+#[inline]
+fn row_offset(d: usize, j: usize) -> usize {
+    j * (2 * d + 1 - j) / 2
+}
 
 impl PackedSym {
     /// Zero accumulator of order `d`.
@@ -64,16 +68,10 @@ impl PackedSym {
         &self.data
     }
 
-    /// Offset of row `j`'s first packed entry (`G[j,j]`).
-    #[inline]
-    fn row_offset(&self, j: usize) -> usize {
-        j * (2 * self.d + 1 - j) / 2
-    }
-
     /// Entry `G[i,j]` (either triangle).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
-        self.data[self.row_offset(lo) + (hi - lo)]
+        self.data[row_offset(self.d, lo) + (hi - lo)]
     }
 
     /// `G += chunk ᵀ· chunk` for an `m×d` row chunk — the streaming syrk
@@ -91,29 +89,11 @@ impl PackedSym {
         if m == 0 || d == 0 {
             return Ok(());
         }
-        // Row-aligned partition of the packed storage into at most
-        // `max_threads` pieces of roughly equal entry count (early rows are
-        // the long ones).
-        let total = self.data.len();
-        let pieces = par::max_threads().min(total.div_ceil(PACKED_GRAIN)).max(1);
-        let target = total.div_ceil(pieces);
-        let mut bounds = Vec::new(); // split positions into `data`
-        let mut piece_rows = vec![0usize]; // first packed row of each piece
-        let mut acc = 0usize;
-        for j in 0..d {
-            acc += d - j;
-            if acc >= target && j + 1 < d && bounds.len() + 1 < pieces {
-                bounds.push(self.row_offset(j + 1));
-                piece_rows.push(j + 1);
-                acc = 0;
-            }
-        }
-        par::for_each_split_mut(&mut self.data, &bounds, |piece, slice| {
-            let mut j = piece_rows[piece];
+        let offset = |j| row_offset(d, j);
+        par::for_each_split_mut(&mut self.data, d, PACKED_GRAIN, offset, |rows, slice| {
             let mut off = 0usize;
-            while off < slice.len() {
-                let len = d - j;
-                let row_acc = &mut slice[off..off + len];
+            for j in rows {
+                let row_acc = &mut slice[off..off + d - j];
                 for s in 0..m {
                     let xr = &chunk.row(s)[j..];
                     let xj = xr[0];
@@ -123,8 +103,7 @@ impl PackedSym {
                         }
                     }
                 }
-                off += len;
-                j += 1;
+                off += d - j;
             }
         });
         Ok(())
@@ -136,7 +115,7 @@ impl PackedSym {
         let d = self.d;
         let mut out = DenseMatrix::zeros(d, d);
         for j in 0..d {
-            let off = self.row_offset(j);
+            let off = row_offset(d, j);
             for l in j..d {
                 let v = self.data[off + (l - j)];
                 out[(j, l)] = v;
@@ -191,18 +170,6 @@ mod tests {
                 "chunk_rows={chunk_rows} changed the accumulation"
             );
         }
-    }
-
-    #[test]
-    fn thread_count_is_bit_identical() {
-        let x = random_chunk(80, 40, 13);
-        crate::par::set_thread_override(Some(1));
-        let mut serial = PackedSym::zeros(40);
-        serial.rank_update(&x).unwrap();
-        crate::par::set_thread_override(None);
-        let mut parallel = PackedSym::zeros(40);
-        parallel.rank_update(&x).unwrap();
-        assert_eq!(serial.as_slice(), parallel.as_slice());
     }
 
     #[test]

@@ -230,8 +230,11 @@ pub struct RegistryReader {
 impl RegistryReader {
     /// The current snapshot: cached while the generation is unchanged,
     /// re-fetched (one short slot lock) when a writer has published.
+    /// Only a *newer* generation triggers a fetch: a publish swaps the slot
+    /// before it stores the generation, so a reader can briefly hold a
+    /// snapshot ahead of the counter and must not re-fetch it per read.
     pub fn current(&mut self) -> &Arc<RegistrySnapshot> {
-        if self.registry.generation() != self.cached.generation() {
+        if self.registry.generation() > self.cached.generation() {
             self.cached = self.registry.snapshot();
             self.refreshes += 1;
         }
