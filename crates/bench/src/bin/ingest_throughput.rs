@@ -11,15 +11,17 @@
 //!    over n = 10⁴ versus n = 10⁶ rows (the big accumulation streams
 //!    synthetic chunks through `GramAccumulator`, so the benchmark never
 //!    materializes an n-sized matrix — the point of the subsystem). The
-//!    reported ratio should sit at ~1.0; the raw-data path at n = 10⁴ is
-//!    timed alongside for contrast.
+//!    reported ratio should sit at ~1.0; the raw-data loss and gradient
+//!    at n = 10⁴ (the loss alone, no solver) is timed alongside for
+//!    contrast.
 //!
 //! Writes `BENCH_ingest.json` via the shared emitter (override the path
 //! with `LEAST_BENCH_OUT`).
 
 use least_bench::report::{fmt, heading, Table};
 use least_bench::timing::{time_best_of, Json};
-use least_core::{LeastConfig, LeastDense, LossPath};
+use least_core::loss::batch_value_and_grad;
+use least_core::{LeastConfig, LeastDense};
 use least_data::{
     export_binary, export_csv, sample_lsem, Dataset, NoiseModel, Preprocess, SufficientStats,
 };
@@ -149,15 +151,17 @@ fn main() {
     let per_iter_big = big_s / ITERS as f64;
     let ratio = per_iter_big / per_iter_small;
 
-    // Contrast: the raw-data path at n_small pays O(n·d) per iteration.
-    let mut data_cfg = cfg;
-    data_cfg.loss_path = LossPath::Data;
-    let data_solver = LeastDense::new(data_cfg).expect("config");
+    // Contrast: the raw-data loss at n_small pays O(n·d²) per iteration
+    // (timed alone: `ITERS` loss/gradient calls on the full sample matrix).
     let mut rng = Xoshiro256pp::new(0xDA7A);
-    let small_data = Dataset::new(
-        sample_lsem(&w, n_small, NoiseModel::standard_gaussian(), &mut rng).expect("sample"),
-    );
-    let data_s = time_best_of(REPS, || data_solver.fit(&small_data).expect("fit")).as_secs_f64();
+    let small_x =
+        sample_lsem(&w, n_small, NoiseModel::standard_gaussian(), &mut rng).expect("sample");
+    let data_s = time_best_of(REPS, || {
+        for _ in 0..ITERS {
+            batch_value_and_grad(&small_x, &w, cfg.lambda).expect("loss");
+        }
+    })
+    .as_secs_f64();
     let per_iter_data = data_s / ITERS as f64;
 
     let mut table = Table::new(&["path", "n", "s/iter"]);

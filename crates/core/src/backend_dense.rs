@@ -7,7 +7,7 @@
 //! (the shared [`crate::engine`] loop), so benchmark differences isolate
 //! exactly what the paper claims — the cost of the constraint.
 
-use crate::config::{LeastConfig, LossPath};
+use crate::config::LeastConfig;
 use crate::constraint::Acyclicity;
 use crate::engine::{self, Learned, LeastSolver, TrainSource, WeightBackend, H_SCC_CAP};
 use crate::loss::{batch_value_and_grad, GramLoss};
@@ -76,8 +76,6 @@ impl LeastDense {
     }
 
     /// [`Self::fit_stats`] with an arbitrary differentiable constraint.
-    /// (A `loss_path = Data` configuration is rejected: statistics carry
-    /// no raw data to evaluate a residual loss on.)
     pub fn fit_stats_with_constraint(
         &self,
         stats: &SufficientStats,
@@ -134,21 +132,13 @@ impl<'a> DenseState<'a> {
 }
 
 /// Decide whether the dense backend trains from a precomputed Gram
-/// matrix: statistics sources always do; data sources follow
-/// [`LossPath`], with `Auto` reproducing the historical dense behavior
-/// (full-batch runs amortize `XᵀX` across every iteration, mini-batch
-/// runs stay on the residual path).
+/// matrix: statistics sources always do, and so do full-batch data runs,
+/// which amortize `XᵀX` across every iteration; mini-batch runs stay on
+/// the residual path.
 fn select_gram(cfg: &LeastConfig, source: &TrainSource<'_>) -> Result<Option<GramLoss>> {
-    match (source, cfg.loss_path) {
-        (TrainSource::Stats(_), LossPath::Data) => Err(LinalgError::InvalidArgument(
-            "loss_path = Data is incompatible with a statistics source".into(),
-        )),
-        (TrainSource::Stats(stats), _) => Ok(Some(GramLoss::from_stats(stats, cfg.lambda)?)),
-        (TrainSource::Data(_), LossPath::Data) => Ok(None),
-        (TrainSource::Data(data), LossPath::Gram) => {
-            Ok(Some(GramLoss::new(data.matrix(), cfg.lambda)?))
-        }
-        (TrainSource::Data(data), LossPath::Auto) => match cfg.batch_size {
+    match source {
+        TrainSource::Stats(stats) => Ok(Some(GramLoss::from_stats(stats, cfg.lambda)?)),
+        TrainSource::Data(data) => match cfg.batch_size {
             Some(b) if b < data.num_samples() => Ok(None),
             _ => Ok(Some(GramLoss::new(data.matrix(), cfg.lambda)?)),
         },
@@ -347,7 +337,7 @@ mod tests {
 
     #[test]
     fn stats_fit_is_bit_identical_to_full_batch_data_fit() {
-        // Full-batch Auto uses GramLoss::new(X); fit_stats adopts the
+        // A full-batch data fit uses GramLoss::new(X); fit_stats adopts the
         // identical t_matmul product, so the trajectories coincide exactly.
         use least_data::{Preprocess, SufficientStats};
         let (_, data) = chain_dataset(5, 300, 308);
@@ -357,40 +347,5 @@ mod tests {
         let from_stats = solver.fit_stats(&stats).unwrap();
         assert!(from_data.weights.approx_eq(&from_stats.weights, 0.0));
         assert_eq!(from_data.rounds, from_stats.rounds);
-    }
-
-    #[test]
-    fn forced_data_path_still_recovers_and_rejects_stats() {
-        use crate::config::LossPath;
-        use least_data::{Preprocess, SufficientStats};
-        let (truth, data) = chain_dataset(5, 600, 309);
-        let mut cfg = fast_config();
-        cfg.loss_path = LossPath::Data;
-        let solver = LeastDense::new(cfg).unwrap();
-        let result = solver.fit(&data).unwrap();
-        let (points, best) = best_threshold(&truth, &result.weights, &paper_tau_grid());
-        assert!(
-            points[best].metrics.f1 > 0.85,
-            "F1 {}",
-            points[best].metrics.f1
-        );
-        // A raw-data-only config cannot honor a statistics source.
-        let stats = SufficientStats::from_dataset(&data, Preprocess::Raw).unwrap();
-        assert!(solver.fit_stats(&stats).is_err());
-    }
-
-    #[test]
-    fn gram_path_with_minibatch_config_trains_full_batch() {
-        use crate::config::LossPath;
-        let (_, data) = chain_dataset(5, 300, 310);
-        let mut cfg = fast_config();
-        cfg.batch_size = Some(32); // ignored by the Gram path
-        cfg.loss_path = LossPath::Gram;
-        let solver = LeastDense::new(cfg).unwrap();
-        let a = solver.fit(&data).unwrap();
-        // Gram training is deterministic full-batch: rerun is identical.
-        let b = solver.fit(&data).unwrap();
-        assert!(a.weights.approx_eq(&b.weights, 0.0));
-        assert!(a.final_constraint < 1e-2);
     }
 }

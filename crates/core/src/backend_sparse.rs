@@ -19,7 +19,7 @@
 //! measure constraint convergence, not recovery, in this regime.
 
 use crate::bound::SpectralBound;
-use crate::config::{LeastConfig, LossPath};
+use crate::config::LeastConfig;
 use crate::engine::{self, Learned, LeastSolver, TrainSource, WeightBackend, H_SCC_CAP};
 use crate::grad::backward_sparse;
 use crate::loss::{sparse_value_and_grad, GramLoss};
@@ -63,8 +63,6 @@ impl LeastSparse {
     /// DESIGN.md §9). Note the Gram matrix is dense `d×d`, so this path
     /// suits the "huge `n`, moderate `d`" regime; at the paper's 10⁵-node
     /// scale the support-restricted mini-batch path remains the right tool.
-    /// (A `loss_path = Data` configuration is rejected: statistics carry
-    /// no raw data to evaluate a residual loss on.)
     pub fn fit_stats(&self, stats: &SufficientStats) -> Result<LearnedSparse> {
         self.fit_source(&TrainSource::Stats(stats))
     }
@@ -83,8 +81,8 @@ impl LeastSparse {
 struct SparseState {
     w: CsrMatrix,
     bound: SpectralBound,
-    /// Precomputed second-moment loss (statistics sources and
-    /// `LossPath::Gram`); `None` = support-restricted residual path.
+    /// Precomputed second-moment loss (statistics sources); `None` =
+    /// support-restricted residual path.
     gram: Option<GramLoss>,
     lambda: f64,
     batch_size: Option<usize>,
@@ -95,20 +93,12 @@ impl SparseState {
         let bound = SpectralBound::new(cfg.k, cfg.alpha)?;
         let zeta = cfg.init_density.expect("validated in new()");
         let w = init::glorot_sparse(source.num_vars(), zeta, rng)?;
-        // Unlike the dense backend, `Auto` on a data source keeps the
-        // residual path even for full batches: the sparse solver exists
-        // for the `d` regime where a dense d×d Gram no longer fits.
-        let gram = match (source, cfg.loss_path) {
-            (TrainSource::Stats(_), LossPath::Data) => {
-                return Err(LinalgError::InvalidArgument(
-                    "loss_path = Data is incompatible with a statistics source".into(),
-                ))
-            }
-            (TrainSource::Stats(stats), _) => Some(GramLoss::from_stats(stats, cfg.lambda)?),
-            (TrainSource::Data(data), LossPath::Gram) => {
-                Some(GramLoss::new(data.matrix(), cfg.lambda)?)
-            }
-            (TrainSource::Data(_), _) => None,
+        // Unlike the dense backend, a data source keeps the residual path
+        // even for full batches: the sparse solver exists for the `d`
+        // regime where a dense d×d Gram no longer fits.
+        let gram = match source {
+            TrainSource::Stats(stats) => Some(GramLoss::from_stats(stats, cfg.lambda)?),
+            TrainSource::Data(_) => None,
         };
         Ok(Self {
             w,
@@ -291,16 +281,5 @@ mod tests {
         assert!(a.graph(0.3).is_dag());
         let b = solver.fit_stats(&stats).unwrap();
         assert!(a.weights.approx_eq(&b.weights, 0.0));
-    }
-
-    #[test]
-    fn stats_fit_rejects_forced_data_path() {
-        use crate::config::LossPath;
-        use least_data::{Preprocess, SufficientStats};
-        let data = er_dataset(20, 100, 407);
-        let stats = SufficientStats::from_dataset(&data, Preprocess::Raw).unwrap();
-        let mut cfg = sparse_config(0.1);
-        cfg.loss_path = LossPath::Data;
-        assert!(LeastSparse::new(cfg).unwrap().fit_stats(&stats).is_err());
     }
 }

@@ -12,7 +12,13 @@
 //! `ρ(S) ≤ maxᵢ r(S)ᵢᵅ·c(S)ᵢ^{1−α}`, and the sum dominates the max. The
 //! diagonal similarity transform preserves the spectrum while shrinking the
 //! bound toward `ρ(S)` (Lemma 1; tightens as `k` grows, `k ≈ 5` suffices
-//! per the paper). Everything here is `O(k·nnz)` time, `O(nnz)` space.
+//! per the paper). Everything here is `O(k·nnz)` time, `O(k·nnz)` space.
+//!
+//! There is one pass, on CSR. A dense iterate is converted once
+//! ([`SpectralBound::forward_dense`]); its exact zeros carry no gradient
+//! (`∇_W δ̄ = 2·G ∘ W`), so dropping them is exact. The similarity
+//! transform preserves the pattern, so every level shares it and keeps
+//! only its values.
 //!
 //! Numerical guard (DESIGN.md §6): fractional powers of row/column sums use
 //! an ε-floor so gradients stay finite; exact zeros stay exactly zero so
@@ -21,7 +27,7 @@
 use crate::constraint::Acyclicity;
 use crate::grad;
 use least_linalg::vecops::powf_floored;
-use least_linalg::{par, CsrMatrix, DenseMatrix, LinalgError, Result};
+use least_linalg::{CsrMatrix, DenseMatrix, LinalgError, Result};
 
 /// Floor applied inside fractional powers (see module docs).
 pub const POW_EPS: f64 = 1e-12;
@@ -56,66 +62,44 @@ impl SpectralBound {
         Ok(Self { k, alpha })
     }
 
-    /// Dense forward pass, retaining per-level state for the backward pass.
+    /// Forward pass on a dense iterate: the CSR pass on its nonzero
+    /// entries, which is exact since `∇_W δ̄ = 2·G ∘ W` vanishes off them.
     pub fn forward_dense(&self, w: &DenseMatrix) -> Result<SpectralBoundForward> {
-        if !w.is_square() {
-            return Err(LinalgError::NotSquare { shape: w.shape() });
-        }
-        let mut levels = Vec::with_capacity(self.k + 1);
-        let mut s = w.hadamard_square();
-        for j in 0..=self.k {
-            let r = s.row_sums();
-            let c = s.col_sums();
-            let b = combine_sums(&r, &c, self.alpha);
-            let advance = j < self.k;
-            let next = if advance {
-                Some(diag_similarity_dense(&s, &b))
-            } else {
-                None
-            };
-            levels.push(BoundLevel { s, r, c, b });
-            match next {
-                Some(n) => s = n,
-                None => break,
-            }
-        }
-        let delta = levels.last().expect("k+1 levels").b.iter().sum();
-        Ok(SpectralBoundForward {
-            alpha: self.alpha,
-            delta,
-            levels,
-        })
+        let mut s = CsrMatrix::from_dense(w, 0.0);
+        s.values_mut().iter_mut().for_each(|v| *v *= *v);
+        self.forward(s)
     }
 
-    /// Sparse forward pass (`O(k·nnz)`), retaining per-level state.
-    pub fn forward_sparse(&self, w: &CsrMatrix) -> Result<SparseBoundForward> {
-        if w.rows() != w.cols() {
-            return Err(LinalgError::NotSquare { shape: w.shape() });
+    /// Forward pass (`O(k·nnz)`), retaining per-level state for the
+    /// backward pass.
+    pub fn forward_sparse(&self, w: &CsrMatrix) -> Result<SpectralBoundForward> {
+        self.forward(w.hadamard_square())
+    }
+
+    /// The k+1 levels from `s = S^(0) = W ∘ W`.
+    fn forward(&self, mut s: CsrMatrix) -> Result<SpectralBoundForward> {
+        if s.rows() != s.cols() {
+            return Err(LinalgError::NotSquare { shape: s.shape() });
         }
         let mut levels = Vec::with_capacity(self.k + 1);
-        let mut s = w.hadamard_square();
         for j in 0..=self.k {
             let r = s.row_sums();
             let c = s.col_sums();
             let b = combine_sums(&r, &c, self.alpha);
-            let advance = j < self.k;
-            let next = if advance {
-                let mut n = s.clone();
-                n.diag_similarity_inplace(&b)?;
-                Some(n)
-            } else {
-                None
-            };
-            levels.push(SparseBoundLevel { s, r, c, b });
-            match next {
-                Some(n) => s = n,
-                None => break,
+            levels.push(Level {
+                s: s.values().to_vec(),
+                r,
+                c,
+                b,
+            });
+            if j < self.k {
+                s.diag_similarity_inplace(&levels[j].b)?;
             }
         }
-        let delta = levels.last().expect("k+1 levels").b.iter().sum();
-        Ok(SparseBoundForward {
+        Ok(SpectralBoundForward {
             alpha: self.alpha,
-            delta,
+            delta: levels[self.k].b.iter().sum(),
+            pattern: s,
             levels,
         })
     }
@@ -145,41 +129,11 @@ fn combine_sums(r: &[f64], c: &[f64], alpha: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Dense `D⁻¹ S D`: `S[i,l]·b[l]/b[i]`, zero row/col where `b` vanishes.
-/// Output rows are independent — computed row-parallel for large `d`.
-fn diag_similarity_dense(s: &DenseMatrix, b: &[f64]) -> DenseMatrix {
-    let d = s.rows();
-    let inv: Vec<f64> = b
-        .iter()
-        .map(|&x| if x > 0.0 { 1.0 / x } else { 0.0 })
-        .collect();
-    let mut out = DenseMatrix::zeros(d, d);
-    let (grain, row_start) = (dense_row_grain(d) * d, |i: usize| i * d);
-    par::for_each_split_mut(out.as_mut_slice(), d, grain, row_start, |rows, block| {
-        for (i, row_out) in rows.zip(block.chunks_mut(d)) {
-            let inv_i = inv[i];
-            if inv_i == 0.0 {
-                continue;
-            }
-            for ((o, &v), &bl) in row_out.iter_mut().zip(s.row(i)).zip(b) {
-                *o = v * inv_i * bl;
-            }
-        }
-    });
-    out
-}
-
-/// Minimum rows per block for `d×d` row-parallel loops: keeps each block
-/// above ~16k elements so threading never pessimizes small solves.
-pub(crate) fn dense_row_grain(d: usize) -> usize {
-    ((1 << 14) / d.max(1)).max(1)
-}
-
-/// One refinement level of the forward pass (dense).
+/// One refinement level of the forward pass.
 #[derive(Debug, Clone)]
-pub(crate) struct BoundLevel {
-    /// `S^(j)`.
-    pub s: DenseMatrix,
+pub(crate) struct Level {
+    /// Values of `S^(j)`, aligned with the shared pattern.
+    pub s: Vec<f64>,
     /// Row sums of `S^(j)`.
     pub r: Vec<f64>,
     /// Column sums of `S^(j)`.
@@ -188,31 +142,17 @@ pub(crate) struct BoundLevel {
     pub b: Vec<f64>,
 }
 
-/// Retained dense forward state; feed to [`grad::backward_dense`].
+/// Retained forward state; feed to [`grad::backward_sparse`] (or
+/// [`grad::backward_dense`] after [`SpectralBound::forward_dense`]).
 #[derive(Debug, Clone)]
 pub struct SpectralBoundForward {
     pub(crate) alpha: f64,
     /// The bound value `δ̄^(k)`.
     pub delta: f64,
-    pub(crate) levels: Vec<BoundLevel>,
-}
-
-/// One refinement level of the forward pass (sparse).
-#[derive(Debug, Clone)]
-pub(crate) struct SparseBoundLevel {
-    pub s: CsrMatrix,
-    pub r: Vec<f64>,
-    pub c: Vec<f64>,
-    pub b: Vec<f64>,
-}
-
-/// Retained sparse forward state; feed to [`grad::backward_sparse`].
-#[derive(Debug, Clone)]
-pub struct SparseBoundForward {
-    pub(crate) alpha: f64,
-    /// The bound value `δ̄^(k)`.
-    pub delta: f64,
-    pub(crate) levels: Vec<SparseBoundLevel>,
+    /// The pattern of `W`, which the similarity transform preserves at
+    /// every level (values: `S^(k)`).
+    pub(crate) pattern: CsrMatrix,
+    pub(crate) levels: Vec<Level>,
 }
 
 impl Acyclicity for SpectralBound {
@@ -220,15 +160,9 @@ impl Acyclicity for SpectralBound {
         self.value_dense(w)
     }
 
-    fn gradient(&self, w: &DenseMatrix) -> Result<DenseMatrix> {
-        let fwd = self.forward_dense(w)?;
-        Ok(grad::backward_dense(&fwd, w))
-    }
-
     fn value_and_gradient(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)> {
         let fwd = self.forward_dense(w)?;
-        let g = grad::backward_dense(&fwd, w);
-        Ok((fwd.delta, g))
+        Ok((fwd.delta, grad::backward_dense(&fwd, w)))
     }
 
     fn name(&self) -> &'static str {
@@ -330,15 +264,27 @@ mod tests {
 
     #[test]
     fn forward_levels_have_constant_spectrum() {
-        // Diagonal similarity preserves eigenvalues; check the trace of
-        // each level as a cheap spectral invariant... trace is preserved
-        // only where b > 0; use a strongly connected example so b > 0.
+        // Diagonal similarity preserves eigenvalues, hence tr(Sᵐ) at every
+        // level, as long as every b > 0 (a strongly connected example).
+        // The diagonal is zero, so tr(S) is trivially constant; check
+        // tr(S²) and tr(S³), which sum the 2- and 3-cycle weights.
         let w = DenseMatrix::from_rows(&[&[0.0, 0.9, 0.0], &[0.4, 0.0, 0.8], &[0.5, 0.3, 0.0]])
             .unwrap();
         let fwd = bound().forward_dense(&w).unwrap();
-        let t0 = fwd.levels[0].s.trace().unwrap();
+        let traces = |level: &Level| {
+            let mut s = DenseMatrix::zeros(3, 3);
+            for ((i, j, _), &v) in fwd.pattern.iter().zip(&level.s) {
+                s[(i, j)] = v;
+            }
+            let s2 = s.matmul(&s).unwrap();
+            let s3 = s2.matmul(&s).unwrap();
+            (s2.trace().unwrap(), s3.trace().unwrap())
+        };
+        let (t2, t3) = traces(&fwd.levels[0]);
+        assert!(t2 > 0.0 && t3 > 0.0);
         for level in &fwd.levels[1..] {
-            assert!((level.s.trace().unwrap() - t0).abs() < 1e-9);
+            let (l2, l3) = traces(level);
+            assert!((l2 - t2).abs() < 1e-9 && (l3 - t3).abs() < 1e-9);
         }
     }
 
@@ -375,7 +321,17 @@ mod tests {
 
     #[test]
     fn rejects_non_square() {
-        assert!(bound().value_dense(&DenseMatrix::zeros(2, 3)).is_err());
+        let dense = DenseMatrix::zeros(2, 3);
+        for err in [
+            bound().forward_dense(&dense).err(),
+            bound().forward_sparse(&CsrMatrix::zeros(2, 3)).err(),
+            bound().value_and_gradient(&dense).err(),
+        ] {
+            assert!(
+                matches!(err, Some(LinalgError::NotSquare { shape: (2, 3) })),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

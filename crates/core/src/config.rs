@@ -54,30 +54,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Which loss implementation feeds the inner loop (DESIGN.md §9).
-///
-/// The LSEM least-squares loss is an exact function of the second-moment
-/// matrix `G = XᵀX`, so full-batch training never needs the raw data after
-/// `G` is known — per-iteration cost drops from `O(n·d)` to `O(d²)` dense
-/// / `O(Σ nnz_col²)` sparse, independent of `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LossPath {
-    /// Pick per backend: the dense solver uses the Gram specialization for
-    /// full-batch runs and the residual path for mini-batches; the sparse
-    /// solver uses the support-restricted residual path. (The historical
-    /// behavior.)
-    #[default]
-    Auto,
-    /// Force the residual (raw-data) path even for full-batch dense runs.
-    Data,
-    /// Force the sufficient-statistics path on either backend: `G` is
-    /// taken from the provided [`least_data::SufficientStats`] (the
-    /// `fit_stats` entry points) or computed once from the dataset.
-    /// Full-batch semantics — `batch_size` is ignored, since `G` already
-    /// summarizes every sample.
-    Gram,
-}
-
 /// Configuration shared by [`crate::LeastDense`] and [`crate::LeastSparse`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeastConfig {
@@ -124,10 +100,6 @@ pub struct LeastConfig {
     /// matrix exponential; needed for Fig. 4 row 3 and Fig. 5 outputs and
     /// for the paper-faithful termination check).
     pub track_h: bool,
-    /// Loss implementation selector (see [`LossPath`]). `Auto` preserves
-    /// the historical per-backend choice; `Gram` trains both backends from
-    /// sufficient statistics, making per-iteration cost independent of `n`.
-    pub loss_path: LossPath,
     /// Also require `h(W) ≤ ε` to declare convergence, matching the
     /// modified termination the paper uses for its benchmark comparison
     /// ("we also compute the value of h(W) and terminate when h(W) is
@@ -153,7 +125,6 @@ impl Default for LeastConfig {
             inner_patience: 5,
             adam: AdamConfig::default(),
             rho_growth: 10.0,
-            loss_path: LossPath::Auto,
             track_h: false,
             terminate_on_h: false,
             seed: 0xBEA5,
@@ -319,12 +290,6 @@ mod tests {
         assert_eq!(c.theta, 1e-3);
         assert_eq!(c.init_density, Some(1e-4));
         assert_eq!(c.epsilon, 1e-8);
-    }
-
-    #[test]
-    fn default_loss_path_is_auto() {
-        assert_eq!(LeastConfig::default().loss_path, LossPath::Auto);
-        assert_eq!(LossPath::default(), LossPath::Auto);
     }
 
     #[test]

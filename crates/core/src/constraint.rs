@@ -16,14 +16,9 @@ pub trait Acyclicity {
     /// Evaluate `c(W)`.
     fn value(&self, w: &DenseMatrix) -> Result<f64>;
 
-    /// Evaluate `∇_W c(W)`.
-    fn gradient(&self, w: &DenseMatrix) -> Result<DenseMatrix>;
-
-    /// Evaluate both at once when that is cheaper than two calls
-    /// (the spectral bound shares its forward pass).
-    fn value_and_gradient(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)> {
-        Ok((self.value(w)?, self.gradient(w)?))
-    }
+    /// Evaluate `c(W)` and `∇_W c(W)` together (every implementation
+    /// shares work between the two).
+    fn value_and_gradient(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)>;
 
     /// Short identifier used in benchmark output.
     fn name(&self) -> &'static str;
@@ -35,11 +30,12 @@ pub trait Acyclicity {
 pub mod testing {
     use super::*;
 
-    /// Central finite-difference check of `gradient` against `value`,
+    /// Central finite-difference check of the gradient of
+    /// `value_and_gradient` against `value`,
     /// reusable by every constraint implementation in the workspace.
     /// Panics with a diagnostic on mismatch.
     pub fn check_gradient<C: Acyclicity>(c: &C, w: &DenseMatrix, step: f64, tol: f64) {
-        let analytic = c.gradient(w).expect("gradient");
+        let (_, analytic) = c.value_and_gradient(w).expect("gradient");
         let d = w.rows();
         for i in 0..d {
             for j in 0..d {

@@ -12,9 +12,10 @@
 //!   differentiable acyclicity measure (the spectral bound here, the
 //!   matrix-exponential and polynomial baselines in `least-notears`);
 //! * [`bound`] — FORWARD (Fig. 2): the iterated bound
-//!   `δ̄^(k) = Σᵢ b^(k)[i]`, dense and sparse;
-//! * [`grad`] — BACKWARD (Fig. 2, Lemmas 3–5): reverse-mode gradient,
-//!   including the masked sparse variant that keeps everything `O(nnz)`;
+//!   `δ̄^(k) = Σᵢ b^(k)[i]`, one `O(k·nnz)` pass on the CSR pattern of `W`
+//!   (dense iterates are converted to it);
+//! * [`grad`] — BACKWARD (Fig. 2, Lemmas 3–5): the reverse-mode gradient,
+//!   masked to that pattern (Lemma 5), so it stays `O(k·nnz)` too;
 //! * [`loss`] — the least-squares + L1 LSEM loss and its gradients (full
 //!   Gram, mini-batch residual, and sparse-support paths);
 //! * [`engine`] — the single augmented-Lagrangian outer loop, generic over
@@ -41,7 +42,7 @@ pub mod trace;
 pub use backend_dense::{Dense, LearnedDense, LeastDense};
 pub use backend_sparse::{LearnedSparse, LeastSparse, Sparse};
 pub use bound::{SpectralBound, SpectralBoundForward};
-pub use config::{ConfigError, LeastConfig, LossPath};
+pub use config::{ConfigError, LeastConfig};
 pub use constraint::Acyclicity;
 pub use engine::{Learned, LeastSolver, TrainSource, WeightBackend};
 pub use loss::GramLoss;

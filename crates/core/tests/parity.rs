@@ -4,19 +4,23 @@
 //! mini-batch schedule, no in-loop filtering (`θ = 0`, so the sparse
 //! support never shrinks) and no early inner exit (`inner_tol = 0`, so
 //! both backends consume the RNG identically), the two backends of the
-//! unified engine optimize the *same* iterate sequence: the dense
-//! gradient restricted to the support equals the masked sparse gradient
-//! (Lemma 5), and the dense diagonal is pinned to zero. The trajectories
-//! therefore agree up to floating-point summation-order noise — a direct
-//! check that `engine::run` drives both `WeightBackend`s through the same
-//! mathematics.
+//! unified engine optimize the *same* iterate sequence. Both evaluate δ̄
+//! and its gradient with the one masked CSR pass (the dense backend
+//! converts its iterate, whose support is the same pattern), so the
+//! bound is shared and only the loss kernels differ: the dense residual
+//! gradient restricted to the support equals the support-restricted
+//! sparse one (Lemma 5), and the dense diagonal is pinned to zero. The
+//! trajectories therefore agree up to floating-point summation-order
+//! noise — a direct check that `engine::run` drives both
+//! `WeightBackend`s through the same mathematics.
 //!
 //! The horizon is kept short (3 rounds × 30 inner steps) on purpose:
-//! Adam is a chaotic map, so the ~1e-16 summation-order noise between the
-//! dense and masked kernels compounds exponentially — by ~750 steps the
-//! trajectories visibly fork (measured: δ̄ rel. drift 3e-15 at 90 steps,
-//! 2.7e-1 at 500). Short-horizon bit-level agreement is the sharp test;
-//! long-horizon agreement is not a property either implementation has.
+//! Adam is a chaotic map, so ~1e-16 summation-order noise between the
+//! kernels compounds exponentially — by ~750 steps the trajectories
+//! visibly fork (measured while the bound kernels still differed too: δ̄
+//! rel. drift 3e-15 at 90 steps, 2.7e-1 at 500). Short-horizon bit-level
+//! agreement is the sharp test; long-horizon agreement is not a property
+//! either implementation has.
 
 use least_core::{LeastConfig, LeastDense, LeastSparse};
 use least_data::{sample_lsem, Dataset, NoiseModel, Preprocess, SufficientStats};
@@ -100,8 +104,8 @@ fn dense_and_sparse_backends_agree() {
     assert!(max_diff < 1e-9, "weight drift {max_diff}");
 }
 
-/// Gram-path / data-path parity on the dense backend. Full-batch `Auto`
-/// already trains from `XᵀX`; `fit_stats` adopts the *same* `t_matmul`
+/// Gram-path / data-path parity on the dense backend. A full-batch data
+/// fit already trains from `XᵀX`; `fit_stats` adopts the *same* `t_matmul`
 /// product, so the trajectories are identical and the learned adjacency
 /// matches exactly — the out-of-core entry point changes where the
 /// statistics come from, not what the optimizer computes.

@@ -68,7 +68,7 @@ impl CsrMatrix {
 
     /// Assemble from raw CSR arrays with **full validation** — the entry
     /// point for deserialized (untrusted) data, unlike the debug-checked
-    /// [`Self::from_raw_parts`]. Verifies pointer arity, monotonicity,
+    /// `from_raw_parts`. Verifies pointer arity, monotonicity,
     /// agreement with `col_idx`/`values` lengths, and strictly increasing
     /// in-bounds column indices per row.
     pub fn from_parts(
@@ -131,17 +131,23 @@ impl CsrMatrix {
         Self::from_raw_parts(n, n, row_ptr, col_idx, vec![1.0; n])
     }
 
-    /// Convert a dense matrix, keeping entries with `|v| > tol`.
+    /// Convert a dense matrix, keeping entries with `|v| > tol`, in one
+    /// row-major pass.
     pub fn from_dense(m: &DenseMatrix, tol: f64) -> Self {
-        let mut coo = Coo::with_capacity(m.rows(), m.cols(), m.count_nonzero(tol));
-        for (i, row) in m.rows_iter().enumerate() {
+        let nnz = m.count_nonzero(tol);
+        let (mut col_idx, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        let mut row_ptr = Vec::with_capacity(m.rows() + 1);
+        row_ptr.push(0);
+        for row in m.rows_iter() {
             for (j, &v) in row.iter().enumerate() {
                 if v.abs() > tol {
-                    coo.push(i, j, v).expect("in-bounds by construction");
+                    col_idx.push(j as u32);
+                    values.push(v);
                 }
             }
+            row_ptr.push(col_idx.len() as u32);
         }
-        coo.to_csr()
+        Self::from_raw_parts(m.rows(), m.cols(), row_ptr, col_idx, values)
     }
 
     /// Densify. Intended for tests and small matrices only.

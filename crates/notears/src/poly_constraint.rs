@@ -64,10 +64,6 @@ impl Acyclicity for PolyAcyclicity {
         Ok(matpow::matrix_power_trace(&m, d as u64)? - d as f64)
     }
 
-    fn gradient(&self, w: &DenseMatrix) -> Result<DenseMatrix> {
-        Ok(self.value_and_gradient(w)?.1)
-    }
-
     fn value_and_gradient(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)> {
         let d = w.rows();
         let c = self.c(d);

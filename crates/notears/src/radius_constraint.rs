@@ -80,10 +80,6 @@ impl Acyclicity for RadiusAcyclicity {
         Ok(self.perron(&s).0)
     }
 
-    fn gradient(&self, w: &DenseMatrix) -> Result<DenseMatrix> {
-        Ok(self.value_and_gradient(w)?.1)
-    }
-
     fn value_and_gradient(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)> {
         let d = w.rows();
         let s = w.hadamard_square();

@@ -5,7 +5,7 @@
 //! single `std::thread::scope`. Accepted connections go through a
 //! `Mutex<VecDeque>` + `Condvar` hand-off; each worker owns a connection
 //! for its keep-alive lifetime, one reusable
-//! [`ConnBuffers`](crate::http::ConnBuffers) per connection. Each worker
+//! [`ConnBuffers`] per connection. Each worker
 //! holds a [`RegistryReader`] — the lock-free snapshot cache — so a
 //! query's registry access is one atomic load; model inserts and
 //! evictions publish new snapshots without ever blocking a reader.

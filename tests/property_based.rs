@@ -6,7 +6,7 @@
 //! * Lemma 1 — the spectral bound dominates the true spectral radius for
 //!   arbitrary weight matrices, at every refinement depth;
 //! * the FORWARD/BACKWARD gradient matches finite differences on random
-//!   inputs (dense), and the masked sparse gradient matches the dense one;
+//!   inputs, through both the dense and the sparse entry points;
 //! * CSR round-trips, transpose involution, and threshold/retain
 //!   bookkeeping under arbitrary sparsity patterns;
 //! * SHD metric axioms (identity, symmetry) and confusion-count
@@ -123,26 +123,29 @@ fn gradient_matches_finite_differences() {
 }
 
 #[test]
-fn sparse_gradient_matches_dense() {
+fn sparse_gradient_matches_finite_differences() {
     let mut rng = Xoshiro256pp::new(0x50C0);
+    let bound = SpectralBound::default();
+    let step = 1e-6;
     for case in 0..CASES {
         let entries: Vec<_> = sparse_entries(12, &mut rng)
             .into_iter()
             .filter(|&(i, j, _)| i != j)
             .collect();
-        let ws = csr_from_entries(12, &entries);
-        let wd = ws.to_dense();
-        let bound = SpectralBound::default();
-        let fwd_s = bound.forward_sparse(&ws).unwrap();
-        let gs = grad::backward_sparse(&fwd_s, &ws);
-        let fwd_d = bound.forward_dense(&wd).unwrap();
-        let gd = grad::backward_dense(&fwd_d, &wd);
-        assert!((fwd_s.delta - fwd_d.delta).abs() <= 1e-10 * fwd_d.delta.max(1.0));
-        for ((i, j, _), &gsv) in ws.iter().zip(&gs) {
+        let w = csr_from_entries(12, &entries);
+        let fwd = bound.forward_sparse(&w).unwrap();
+        let g = grad::backward_sparse(&fwd, &w);
+        for (slot, &analytic) in g.iter().enumerate() {
+            let mut plus = w.clone();
+            plus.values_mut()[slot] += step;
+            let mut minus = w.clone();
+            minus.values_mut()[slot] -= step;
+            let numeric = (bound.value_sparse(&plus).unwrap()
+                - bound.value_sparse(&minus).unwrap())
+                / (2.0 * step);
             assert!(
-                (gd[(i, j)] - gsv).abs() < 1e-8 * (1.0 + gd[(i, j)].abs()),
-                "case {case} ({i},{j}) dense {} sparse {gsv}",
-                gd[(i, j)]
+                (analytic - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),
+                "case {case} slot {slot}: analytic {analytic} vs numeric {numeric}"
             );
         }
     }
