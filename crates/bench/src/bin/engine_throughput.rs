@@ -17,11 +17,12 @@
 //! measurements coincide and `parallel_feature` records the fact.
 
 use least_bench::report::{fmt, heading, Table};
-use least_bench::timing::{time_best_of, Json};
+use least_bench::timing::time_best_of;
 use least_core::{LeastConfig, LeastDense, LeastSparse};
 use least_data::{sample_lsem_sparse, Dataset, NoiseModel};
 use least_graph::{erdos_renyi_dag, weighted_adjacency_sparse, WeightRange};
 use least_linalg::{par, Xoshiro256pp};
+use least_serve::JsonValue;
 
 /// Best-of repetitions per measurement.
 const REPS: usize = 3;
@@ -121,13 +122,13 @@ fn main() {
             fmt(parallel),
             fmt(speedup),
         ]);
-        entries.push(Json::obj(vec![
-            ("name", Json::Str(w.name.into())),
-            ("d", Json::Int(w.d as i64)),
-            ("inner_iters", Json::Int(w.cfg.max_inner as i64)),
-            ("serial_seconds", Json::Num(serial)),
-            ("parallel_seconds", Json::Num(parallel)),
-            ("speedup", Json::Num(speedup)),
+        entries.push(JsonValue::obj(vec![
+            ("name", JsonValue::Str(w.name.into())),
+            ("d", JsonValue::Num(w.d as f64)),
+            ("inner_iters", JsonValue::Num(w.cfg.max_inner as f64)),
+            ("serial_seconds", JsonValue::Num(serial)),
+            ("parallel_seconds", JsonValue::Num(parallel)),
+            ("speedup", JsonValue::Num(speedup)),
         ]));
     }
     table.print();
@@ -136,8 +137,8 @@ fn main() {
         "engine_throughput",
         "BENCH_engine.json",
         vec![
-            ("reps_best_of", Json::Int(REPS as i64)),
-            ("workloads", Json::Arr(entries)),
+            ("reps_best_of", JsonValue::Num(REPS as f64)),
+            ("workloads", JsonValue::Arr(entries)),
         ],
     );
 }

@@ -19,7 +19,7 @@
 //! with `LEAST_BENCH_OUT`).
 
 use least_bench::report::{fmt, heading, Table};
-use least_bench::timing::{time_best_of, Json};
+use least_bench::timing::time_best_of;
 use least_core::loss::batch_value_and_grad;
 use least_core::{LeastConfig, LeastDense};
 use least_data::{
@@ -28,6 +28,7 @@ use least_data::{
 use least_graph::{erdos_renyi_dag, weighted_adjacency_dense, WeightRange};
 use least_ingest::{ingest_binary, ingest_csv, GramAccumulator, IngestConfig};
 use least_linalg::{DenseMatrix, Xoshiro256pp};
+use least_serve::JsonValue;
 use std::path::PathBuf;
 
 /// Best-of repetitions per timed measurement.
@@ -182,24 +183,33 @@ fn main() {
         "ingest_throughput",
         "BENCH_ingest.json",
         vec![
-            ("d", Json::Int(d as i64)),
-            ("reps_best_of", Json::Int(REPS as i64)),
-            ("file_rows", Json::Int(file_rows as i64)),
-            ("csv_bytes", Json::Int(csv_bytes as i64)),
-            ("csv_ingest_seconds", Json::Num(csv_s)),
-            ("csv_rows_per_s", Json::Num(file_rows as f64 / csv_s)),
-            ("binary_bytes", Json::Int(bin_bytes as i64)),
-            ("binary_ingest_seconds", Json::Num(bin_s)),
-            ("binary_rows_per_s", Json::Num(file_rows as f64 / bin_s)),
-            ("formats_agree_bitwise", Json::Bool(formats_agree)),
-            ("train_iters", Json::Int(ITERS as i64)),
-            ("n_small", Json::Int(n_small as i64)),
-            ("n_big", Json::Int(n_big as i64)),
-            ("accumulate_both_seconds", Json::Num(accumulate_s)),
-            ("gram_per_iter_seconds_n_small", Json::Num(per_iter_small)),
-            ("gram_per_iter_seconds_n_big", Json::Num(per_iter_big)),
-            ("gram_per_iter_ratio_big_over_small", Json::Num(ratio)),
-            ("data_per_iter_seconds_n_small", Json::Num(per_iter_data)),
+            ("d", JsonValue::Num(d as f64)),
+            ("reps_best_of", JsonValue::Num(REPS as f64)),
+            ("file_rows", JsonValue::Num(file_rows as f64)),
+            ("csv_bytes", JsonValue::Num(csv_bytes as f64)),
+            ("csv_ingest_seconds", JsonValue::Num(csv_s)),
+            ("csv_rows_per_s", JsonValue::Num(file_rows as f64 / csv_s)),
+            ("binary_bytes", JsonValue::Num(bin_bytes as f64)),
+            ("binary_ingest_seconds", JsonValue::Num(bin_s)),
+            (
+                "binary_rows_per_s",
+                JsonValue::Num(file_rows as f64 / bin_s),
+            ),
+            ("formats_agree_bitwise", JsonValue::Bool(formats_agree)),
+            ("train_iters", JsonValue::Num(ITERS as f64)),
+            ("n_small", JsonValue::Num(n_small as f64)),
+            ("n_big", JsonValue::Num(n_big as f64)),
+            ("accumulate_both_seconds", JsonValue::Num(accumulate_s)),
+            (
+                "gram_per_iter_seconds_n_small",
+                JsonValue::Num(per_iter_small),
+            ),
+            ("gram_per_iter_seconds_n_big", JsonValue::Num(per_iter_big)),
+            ("gram_per_iter_ratio_big_over_small", JsonValue::Num(ratio)),
+            (
+                "data_per_iter_seconds_n_small",
+                JsonValue::Num(per_iter_data),
+            ),
         ],
     );
 }

@@ -14,16 +14,19 @@
 //! | Design-choice ablations (k, α, θ, B) | `... --bin ablation` |
 //! | Constraint micro-costs (δ̄ vs h vs g) | `cargo bench -p least-bench` |
 //!
-//! Beyond the paper's figures, three systems benchmarks write
+//! Beyond the paper's figures, four systems benchmarks write
 //! machine-readable JSON artifacts through the shared [`emit_report`]
-//! emitter (one schema: `benchmark`, `parallel_feature`, `threads`, then
-//! benchmark-specific fields; `LEAST_BENCH_OUT` overrides the path):
+//! emitter (one schema: `benchmark`, `parallel_feature` and `threads`
+//! beside the benchmark-specific fields, rendered by
+//! [`least_serve::JsonValue`] as one line with sorted keys;
+//! `LEAST_BENCH_OUT` overrides the path):
 //!
 //! | Systems benchmark | Target |
 //! |---|---|
 //! | Solver engine, serial vs parallel (`BENCH_engine.json`) | `... --bin engine_throughput` |
 //! | Serving layer over real TCP (`BENCH_serve.json`) | `... --bin serve_throughput` |
 //! | Out-of-core ingestion + Gram path (`BENCH_ingest.json`) | `... --bin ingest_throughput` |
+//! | Job orchestration, 1 vs pooled workers (`BENCH_jobs.json`) | `... --bin jobs_throughput` |
 //!
 //! Every binary prints its seeds and parameters, accepts `--full` for
 //! paper-scale sweeps (the defaults are laptop-scale; EXPERIMENTS.md
@@ -33,7 +36,7 @@ pub mod report;
 pub mod timing;
 pub mod workloads;
 
-use timing::Json;
+use least_serve::JsonValue;
 
 pub use report::Table;
 pub use workloads::{benchmark_instance, BenchInstance};
@@ -44,22 +47,25 @@ pub fn full_scale() -> bool {
 }
 
 /// Write a systems-benchmark JSON artifact with the shared envelope
-/// (`benchmark` name, `parallel_feature`, worker-pool size) followed by
-/// the benchmark-specific `fields`, to `LEAST_BENCH_OUT` or
-/// `default_file`. Returns the path written.
-pub fn emit_report(benchmark: &str, default_file: &str, fields: Vec<(&str, Json)>) -> String {
+/// (`benchmark` name, `parallel_feature`, worker-pool size) and the
+/// benchmark-specific `fields`, to `LEAST_BENCH_OUT` or `default_file`.
+/// Returns the path written.
+pub fn emit_report(benchmark: &str, default_file: &str, fields: Vec<(&str, JsonValue)>) -> String {
     let mut pairs = vec![
-        ("benchmark", Json::Str(benchmark.into())),
-        ("parallel_feature", Json::Bool(cfg!(feature = "parallel"))),
+        ("benchmark", JsonValue::Str(benchmark.into())),
+        (
+            "parallel_feature",
+            JsonValue::Bool(cfg!(feature = "parallel")),
+        ),
         (
             "threads",
-            Json::Int(least_linalg::par::max_threads() as i64),
+            JsonValue::Num(least_linalg::par::max_threads() as f64),
         ),
     ];
     pairs.extend(fields);
-    let report = Json::obj(pairs);
+    let report = JsonValue::obj(pairs).render() + "\n";
     let path = std::env::var("LEAST_BENCH_OUT").unwrap_or_else(|_| default_file.into());
-    std::fs::write(&path, report.render()).expect("write benchmark report");
+    std::fs::write(&path, report).expect("write benchmark report");
     println!("\nwrote {path}");
     path
 }

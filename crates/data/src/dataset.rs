@@ -52,11 +52,6 @@ impl Dataset {
         &self.x
     }
 
-    /// Consume into the underlying matrix.
-    pub fn into_matrix(self) -> DenseMatrix {
-        self.x
-    }
-
     /// Column means.
     pub fn means(&self) -> Vec<f64> {
         let n = self.num_samples().max(1) as f64;

@@ -66,20 +66,32 @@ const TAG_CANCELLED: u8 = 6;
 const TAG_CANCEL_REQUESTED: u8 = 7;
 
 impl Record {
+    /// The job the record is about.
+    pub fn id(&self) -> u64 {
+        match *self {
+            Record::Submitted { id, .. }
+            | Record::Started { id, .. }
+            | Record::Retried { id, .. }
+            | Record::Completed { id, .. }
+            | Record::Failed { id, .. }
+            | Record::Cancelled { id }
+            | Record::CancelRequested { id } => id,
+        }
+    }
+
     /// Append the record's payload to `out`: tag, id, then the variant's
     /// own field, if any.
     fn encode(&self, out: &mut Vec<u8>) {
-        let (tag, id) = match *self {
-            Record::Submitted { id, .. } => (TAG_SUBMITTED, id),
-            Record::Started { id, .. } => (TAG_STARTED, id),
-            Record::Retried { id, .. } => (TAG_RETRIED, id),
-            Record::Completed { id, .. } => (TAG_COMPLETED, id),
-            Record::Failed { id, .. } => (TAG_FAILED, id),
-            Record::Cancelled { id } => (TAG_CANCELLED, id),
-            Record::CancelRequested { id } => (TAG_CANCEL_REQUESTED, id),
-        };
-        out.push(tag);
-        write_u64(out, id);
+        out.push(match self {
+            Record::Submitted { .. } => TAG_SUBMITTED,
+            Record::Started { .. } => TAG_STARTED,
+            Record::Retried { .. } => TAG_RETRIED,
+            Record::Completed { .. } => TAG_COMPLETED,
+            Record::Failed { .. } => TAG_FAILED,
+            Record::Cancelled { .. } => TAG_CANCELLED,
+            Record::CancelRequested { .. } => TAG_CANCEL_REQUESTED,
+        });
+        write_u64(out, self.id());
         match self {
             Record::Submitted { spec_json: s, .. }
             | Record::Retried { error: s, .. }

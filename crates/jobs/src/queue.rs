@@ -2,10 +2,14 @@
 //!
 //! In memory it is a `Mutex`-guarded job table plus a ready-heap and a
 //! `Condvar` for blocking workers; on disk it is the write-ahead
-//! [`journal`](crate::journal) — every transition is appended (and
-//! fsynced) *before* the in-memory state changes, so a `kill -9` at any
-//! point leaves a journal from which [`JobQueue::open`] rebuilds exactly
-//! the queue, with these recovery rules:
+//! [`journal`](crate::journal). One private function, `Inner::apply`,
+//! is the job state machine: it is the only code that changes a job's
+//! fields, and it takes a journal record. A live operation picks the
+//! record its transition needs and *commits* it — append and fsync,
+//! then `apply` — so the in-memory state never runs ahead of the disk.
+//! [`JobQueue::open`] replays the journal through the same `apply`, so
+//! a restarted queue holds exactly the jobs the live one held, and then
+//! applies these recovery rules:
 //!
 //! * `queued` jobs stay queued;
 //! * `running` jobs were lost mid-attempt: they are re-enqueued, unless
@@ -23,7 +27,7 @@ use crate::spec::JobSpec;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::path::Path;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Queue tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -85,18 +89,11 @@ impl JobState {
             _ => return None,
         })
     }
-
-    /// True for `succeeded` / `failed` / `cancelled`.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobState::Succeeded | JobState::Failed | JobState::Cancelled
-        )
-    }
 }
 
-/// Point-in-time copy of one job's public state.
-#[derive(Debug, Clone)]
+/// One job's public state; the queue's table stores these, and
+/// [`JobQueue::get`] returns a copy.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSnapshot {
     /// Queue-assigned id (monotonic from 1).
     pub id: u64,
@@ -106,7 +103,8 @@ pub struct JobSnapshot {
     pub state: JobState,
     /// `Started` attempts so far (crashes included).
     pub attempts: u32,
-    /// A cancel arrived while running and has not yet been observed.
+    /// A cancel arrived while running. Stays set on the job it
+    /// cancelled; cleared when the job completes anyway.
     pub cancel_requested: bool,
     /// Most recent failure message, if any.
     pub error: Option<String>,
@@ -161,19 +159,9 @@ pub struct Claim {
 }
 
 #[derive(Debug)]
-struct JobEntry {
-    spec: JobSpec,
-    state: JobState,
-    attempts: u32,
-    cancel_requested: bool,
-    error: Option<String>,
-    model_version: Option<u64>,
-}
-
-#[derive(Debug)]
 struct Inner {
     journal: Journal,
-    jobs: BTreeMap<u64, JobEntry>,
+    jobs: BTreeMap<u64, JobSnapshot>,
     /// Ready jobs keyed `(priority, Reverse(id))` under max-heap order:
     /// higher priority first, then lower id (FIFO). Entries can go stale
     /// (job cancelled or re-claimed); [`JobQueue::claim`] skips those.
@@ -183,8 +171,78 @@ struct Inner {
 }
 
 impl Inner {
-    fn entry(&mut self, id: u64) -> Result<&mut JobEntry> {
-        self.jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))
+    fn job(&self, id: u64) -> Result<&JobSnapshot> {
+        self.jobs.get(&id).ok_or(JobError::UnknownJob(id))
+    }
+
+    /// The job, if it is running; otherwise `op` is an invalid
+    /// transition.
+    fn running(&self, id: u64, op: &'static str) -> Result<&JobSnapshot> {
+        let job = self.job(id)?;
+        match job.state {
+            JobState::Running => Ok(job),
+            state => Err(JobError::InvalidTransition { id, op, state }),
+        }
+    }
+
+    /// Make `record` durable, then apply it.
+    fn commit(&mut self, record: Record) -> Result<()> {
+        self.journal.append(&record)?;
+        self.apply(record)
+    }
+
+    /// The state machine: the only code that changes a job's fields,
+    /// shared by live operations (through [`Self::commit`]) and replay.
+    /// Callers check that a transition is legal before they journal it;
+    /// `apply` only records its effect.
+    fn apply(&mut self, record: Record) -> Result<()> {
+        let id = record.id();
+        if let Record::Submitted { spec_json, .. } = record {
+            // The journaled JSON, not the caller's value, is the spec, so
+            // a live job and its replay cannot differ.
+            let spec = JobSpec::parse_str(&spec_json)?;
+            self.next_id = self.next_id.max(id + 1);
+            self.heap.push((spec.priority, Reverse(id)));
+            let job = JobSnapshot {
+                id,
+                spec,
+                state: JobState::Queued,
+                attempts: 0,
+                cancel_requested: false,
+                error: None,
+                model_version: None,
+            };
+            self.jobs.insert(id, job);
+            return Ok(());
+        }
+        let job = self.jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))?;
+        match record {
+            Record::Submitted { .. } => unreachable!("handled above"),
+            Record::Started { attempt, .. } => {
+                job.state = JobState::Running;
+                job.attempts = job.attempts.max(attempt);
+            }
+            Record::Retried { error, .. } => {
+                job.state = JobState::Queued;
+                job.error = Some(error);
+                self.heap.push((job.spec.priority, Reverse(id)));
+            }
+            Record::Completed { model_version, .. } => {
+                job.state = JobState::Succeeded;
+                job.model_version = Some(model_version);
+                job.error = None;
+                // A cancel that lost the race with completion is moot;
+                // don't leave the flag dangling on a succeeded job.
+                job.cancel_requested = false;
+            }
+            Record::Failed { error, .. } => {
+                job.state = JobState::Failed;
+                job.error = Some(error);
+            }
+            Record::Cancelled { .. } => job.state = JobState::Cancelled,
+            Record::CancelRequested { .. } => job.cancel_requested = true,
+        }
+        Ok(())
     }
 }
 
@@ -200,127 +258,74 @@ impl JobQueue {
     /// Open (creating if absent) the queue journaled at `path`, replaying
     /// and applying the crash-recovery rules described at module level.
     pub fn open(path: impl AsRef<Path>, config: QueueConfig) -> Result<Self> {
-        let (mut journal, records) = Journal::open(path)?;
-        let mut jobs: BTreeMap<u64, JobEntry> = BTreeMap::new();
-        let mut next_id = 1u64;
+        let (journal, records) = Journal::open(path)?;
+        let mut inner = Inner {
+            journal,
+            jobs: BTreeMap::new(),
+            heap: BinaryHeap::new(),
+            next_id: 1,
+            stop: false,
+        };
         for record in records {
-            match record {
-                Record::Submitted { id, spec_json } => {
-                    let spec = JobSpec::parse_str(&spec_json)?;
-                    next_id = next_id.max(id + 1);
-                    jobs.insert(
-                        id,
-                        JobEntry {
-                            spec,
-                            state: JobState::Queued,
-                            attempts: 0,
-                            cancel_requested: false,
-                            error: None,
-                            model_version: None,
-                        },
-                    );
-                }
-                Record::Started { id, attempt } => {
-                    let e = jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))?;
-                    e.state = JobState::Running;
-                    e.attempts = e.attempts.max(attempt);
-                }
-                Record::Retried { id, error } => {
-                    let e = jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))?;
-                    e.state = JobState::Queued;
-                    e.error = Some(error);
-                }
-                Record::Completed { id, model_version } => {
-                    let e = jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))?;
-                    e.state = JobState::Succeeded;
-                    e.model_version = Some(model_version);
-                    e.error = None;
-                    // A cancel that lost the race with completion is
-                    // moot; don't leave the flag dangling on a
-                    // succeeded job.
-                    e.cancel_requested = false;
-                }
-                Record::Failed { id, error } => {
-                    let e = jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))?;
-                    e.state = JobState::Failed;
-                    e.error = Some(error);
-                }
-                Record::Cancelled { id } => {
-                    let e = jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))?;
-                    e.state = JobState::Cancelled;
-                }
-                Record::CancelRequested { id } => {
-                    let e = jobs.get_mut(&id).ok_or(JobError::UnknownJob(id))?;
-                    e.cancel_requested = true;
-                }
-            }
+            inner.apply(record)?;
         }
 
         // Crash recovery: a job that is `running` in the replay was lost
         // with its process.
-        for (&id, entry) in jobs.iter_mut() {
-            if entry.state != JobState::Running {
-                continue;
-            }
-            if entry.cancel_requested {
-                journal.append(&Record::Cancelled { id })?;
-                entry.state = JobState::Cancelled;
-            } else if entry.attempts >= config.max_attempts {
+        let crashed: Vec<u64> = inner
+            .jobs
+            .values()
+            .filter(|job| job.state == JobState::Running)
+            .map(|job| job.id)
+            .collect();
+        for id in crashed {
+            let job = inner.job(id)?;
+            if job.cancel_requested {
+                inner.commit(Record::Cancelled { id })?;
+            } else if job.attempts >= config.max_attempts {
                 let error = format!(
                     "process died during attempt {} and the {}-attempt cap is reached",
-                    entry.attempts, config.max_attempts
+                    job.attempts, config.max_attempts
                 );
-                journal.append(&Record::Failed {
-                    id,
-                    error: error.clone(),
-                })?;
-                entry.state = JobState::Failed;
-                entry.error = Some(error);
+                inner.commit(Record::Failed { id, error })?;
             } else {
-                entry.state = JobState::Queued;
+                // Not journaled: the replayed `Started` already counts
+                // the lost attempt, and the next claim journals its own.
+                inner
+                    .jobs
+                    .get_mut(&id)
+                    .expect("crashed job is in the table")
+                    .state = JobState::Queued;
             }
         }
 
-        let heap = jobs
-            .iter()
-            .filter(|(_, e)| e.state == JobState::Queued)
-            .map(|(&id, e)| (e.spec.priority, Reverse(id)))
+        // Replay pushed an entry per `Submitted` and `Retried`; keep one
+        // per job that is queued now.
+        inner.heap = inner
+            .jobs
+            .values()
+            .filter(|job| job.state == JobState::Queued)
+            .map(|job| (job.spec.priority, Reverse(job.id)))
             .collect();
         Ok(Self {
-            inner: Mutex::new(Inner {
-                journal,
-                jobs,
-                heap,
-                next_id,
-                stop: false,
-            }),
+            inner: Mutex::new(inner),
             ready: Condvar::new(),
             config,
         })
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("queue lock poisoned")
+    }
+
     /// Durably enqueue a (pre-validated) spec. Returns the job id.
     pub fn submit(&self, spec: JobSpec) -> Result<u64> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.lock();
         let id = inner.next_id;
-        inner.journal.append(&Record::Submitted {
+        inner.commit(Record::Submitted {
             id,
             spec_json: spec.to_json().render(),
         })?;
-        inner.next_id += 1;
-        let priority = spec.priority;
-        inner.jobs.insert(
-            id,
-            JobEntry {
-                spec,
-                state: JobState::Queued,
-                attempts: 0,
-                cancel_requested: false,
-                error: None,
-                model_version: None,
-            },
-        );
-        inner.heap.push((priority, Reverse(id)));
         drop(inner);
         self.ready.notify_one();
         Ok(id)
@@ -329,183 +334,108 @@ impl JobQueue {
     /// Block until a job is ready (returning a durable [`Claim`]) or
     /// [`Self::stop_workers`] is called (returning `Ok(None)`).
     pub fn claim(&self) -> Result<Option<Claim>> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = self.lock();
         loop {
             if inner.stop {
                 return Ok(None);
             }
             // Pop until a live queued entry surfaces (stale heap entries
             // — cancelled or already-claimed ids — are skipped).
-            while let Some((priority, Reverse(id))) = inner.heap.pop() {
-                let live = inner
-                    .jobs
-                    .get(&id)
-                    .is_some_and(|e| e.state == JobState::Queued);
-                if !live {
+            while let Some(entry) = inner.heap.pop() {
+                let Reverse(id) = entry.1;
+                let Some(job) = inner.jobs.get(&id).filter(|j| j.state == JobState::Queued) else {
                     continue;
-                }
-                let attempt = {
-                    let e = inner.entry(id)?;
-                    e.attempts + 1
                 };
-                if let Err(e) = inner.journal.append(&Record::Started { id, attempt }) {
+                let attempt = job.attempts + 1;
+                if let Err(e) = inner.commit(Record::Started { id, attempt }) {
                     // The claim never became durable: put the popped
                     // entry back so the job stays claimable once the
                     // journal recovers, instead of stranding it queued
                     // with no heap reference until a restart.
-                    inner.heap.push((priority, Reverse(id)));
+                    inner.heap.push(entry);
                     return Err(e);
                 }
-                let e = inner.entry(id)?;
-                e.attempts = attempt;
-                e.state = JobState::Running;
-                return Ok(Some(Claim {
-                    id,
-                    attempt,
-                    spec: e.spec.clone(),
-                }));
+                let spec = inner.job(id)?.spec.clone();
+                return Ok(Some(Claim { id, attempt, spec }));
             }
             inner = self.ready.wait(inner).expect("queue lock poisoned");
         }
     }
 
-    /// Last gate before a worker commits its result: returns `false` —
-    /// after durably cancelling the job — if a cancel request is pending,
-    /// in which case the worker must *not* register the model.
+    /// The cancel gate for a running job. Returns `false` — after
+    /// durably cancelling the job — if a cancel request is pending;
+    /// then the worker must stop and must *not* register a model.
+    /// Workers pass it at every stage boundary and last before
+    /// publishing.
     pub fn try_finish(&self, id: u64) -> Result<bool> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        let state = inner.entry(id)?.state;
-        if state != JobState::Running {
-            return Err(JobError::InvalidTransition {
-                id,
-                op: "finish",
-                state,
-            });
-        }
-        if inner.entry(id)?.cancel_requested {
-            inner.journal.append(&Record::Cancelled { id })?;
-            inner.entry(id)?.state = JobState::Cancelled;
+        let mut inner = self.lock();
+        if inner.running(id, "finish")?.cancel_requested {
+            inner.commit(Record::Cancelled { id })?;
             return Ok(false);
         }
         Ok(true)
     }
 
     /// Mark a running job succeeded with its registered model version.
+    /// A cancel may have arrived in the publication window after the
+    /// [`Self::try_finish`] gate; it lost the race (the model is live),
+    /// and completion clears it.
     pub fn complete(&self, id: u64, model_version: u64) -> Result<()> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        let state = inner.entry(id)?.state;
-        if state != JobState::Running {
-            return Err(JobError::InvalidTransition {
-                id,
-                op: "complete",
-                state,
-            });
-        }
-        inner
-            .journal
-            .append(&Record::Completed { id, model_version })?;
-        let e = inner.entry(id)?;
-        e.state = JobState::Succeeded;
-        e.model_version = Some(model_version);
-        e.error = None;
-        // A cancel may have arrived in the publication window after the
-        // try_finish gate; it lost the race (the model is live) and the
-        // final state should say so coherently.
-        e.cancel_requested = false;
-        Ok(())
+        let mut inner = self.lock();
+        inner.running(id, "complete")?;
+        inner.commit(Record::Completed { id, model_version })
     }
 
     /// Record a failed attempt. Re-enqueues while attempts remain (unless
-    /// a cancel is pending); otherwise the job is terminally failed.
-    /// Returns the state the job ended up in.
+    /// a cancel is pending, which wins and drops `error`: the
+    /// `Cancelled` record has no error field); otherwise the job is
+    /// terminally failed. Returns the state the job ended up in.
     pub fn fail(&self, id: u64, error: impl Into<String>) -> Result<JobState> {
         let error = error.into();
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        let state = inner.entry(id)?.state;
-        if state != JobState::Running {
-            return Err(JobError::InvalidTransition {
-                id,
-                op: "fail",
-                state,
-            });
-        }
-        let (cancel_requested, attempts, priority) = {
-            let e = inner.entry(id)?;
-            (e.cancel_requested, e.attempts, e.spec.priority)
-        };
-        let new_state = if cancel_requested {
-            inner.journal.append(&Record::Cancelled { id })?;
-            let e = inner.entry(id)?;
-            e.state = JobState::Cancelled;
-            e.error = Some(error);
-            JobState::Cancelled
-        } else if attempts < self.config.max_attempts {
-            inner.journal.append(&Record::Retried {
-                id,
-                error: error.clone(),
-            })?;
-            let e = inner.entry(id)?;
-            e.state = JobState::Queued;
-            e.error = Some(error);
-            inner.heap.push((priority, Reverse(id)));
-            drop(inner);
-            self.ready.notify_one();
-            return Ok(JobState::Queued);
+        let mut inner = self.lock();
+        let job = inner.running(id, "fail")?;
+        let record = if job.cancel_requested {
+            Record::Cancelled { id }
+        } else if job.attempts < self.config.max_attempts {
+            Record::Retried { id, error }
         } else {
-            let full = format!(
-                "{error} (attempt {attempts} of {}; giving up)",
-                self.config.max_attempts
+            let error = format!(
+                "{error} (attempt {} of {}; giving up)",
+                job.attempts, self.config.max_attempts
             );
-            inner.journal.append(&Record::Failed {
-                id,
-                error: full.clone(),
-            })?;
-            let e = inner.entry(id)?;
-            e.state = JobState::Failed;
-            e.error = Some(full);
-            JobState::Failed
+            Record::Failed { id, error }
         };
-        Ok(new_state)
+        inner.commit(record)?;
+        let state = inner.job(id)?.state;
+        drop(inner);
+        if state == JobState::Queued {
+            self.ready.notify_one();
+        }
+        Ok(state)
     }
 
     /// Cancel a job; see [`CancelOutcome`] for the queued/running split.
     pub fn cancel(&self, id: u64) -> Result<CancelOutcome> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        let Some(state) = inner.jobs.get(&id).map(|e| e.state) else {
+        let mut inner = self.lock();
+        let Some(job) = inner.jobs.get(&id) else {
             return Ok(CancelOutcome::NotFound);
         };
-        match state {
-            JobState::Queued => {
-                inner.journal.append(&Record::Cancelled { id })?;
-                inner.entry(id)?.state = JobState::Cancelled;
-                Ok(CancelOutcome::CancelledQueued)
-            }
-            JobState::Running => {
-                if !inner.entry(id)?.cancel_requested {
-                    inner.journal.append(&Record::CancelRequested { id })?;
-                    inner.entry(id)?.cancel_requested = true;
-                }
-                Ok(CancelOutcome::CancelRequested)
-            }
-            terminal => Ok(CancelOutcome::AlreadyTerminal(terminal)),
-        }
-    }
-
-    /// True when a cancel is pending on a running job (workers poll this
-    /// between pipeline stages).
-    pub fn cancel_requested(&self, id: u64) -> bool {
-        self.inner
-            .lock()
-            .expect("queue lock poisoned")
-            .jobs
-            .get(&id)
-            .is_some_and(|e| e.cancel_requested && e.state == JobState::Running)
+        let (record, outcome) = match job.state {
+            JobState::Queued => (Record::Cancelled { id }, CancelOutcome::CancelledQueued),
+            JobState::Running if job.cancel_requested => return Ok(CancelOutcome::CancelRequested),
+            JobState::Running => (
+                Record::CancelRequested { id },
+                CancelOutcome::CancelRequested,
+            ),
+            terminal => return Ok(CancelOutcome::AlreadyTerminal(terminal)),
+        };
+        inner.commit(record)?;
+        Ok(outcome)
     }
 
     /// Snapshot one job.
     pub fn get(&self, id: u64) -> Option<JobSnapshot> {
-        let inner = self.inner.lock().expect("queue lock poisoned");
-        inner.jobs.get(&id).map(|e| snapshot(id, e))
+        self.lock().jobs.get(&id).cloned()
     }
 
     /// Snapshot all jobs (optionally filtered by state), ordered by id.
@@ -522,16 +452,16 @@ impl JobQueue {
     /// terminal history has grown unbounded (journal compaction is the
     /// other half of that story; see DESIGN.md §10.3).
     pub fn list_page(&self, state: Option<JobState>, page: least_serve::Pagination) -> JobPage {
-        let inner = self.inner.lock().expect("queue lock poisoned");
+        let inner = self.lock();
         let mut total = 0usize;
         let limit = page.limit.unwrap_or(usize::MAX);
         let mut jobs = Vec::new();
-        for (&id, e) in inner.jobs.iter() {
-            if !state.is_none_or(|s| e.state == s) {
+        for job in inner.jobs.values() {
+            if !state.is_none_or(|s| job.state == s) {
                 continue;
             }
             if total >= page.offset && jobs.len() < limit {
-                jobs.push(snapshot(id, e));
+                jobs.push(job.clone());
             }
             total += 1;
         }
@@ -540,10 +470,9 @@ impl JobQueue {
 
     /// Per-state counts.
     pub fn counts(&self) -> QueueCounts {
-        let inner = self.inner.lock().expect("queue lock poisoned");
         let mut c = QueueCounts::default();
-        for e in inner.jobs.values() {
-            match e.state {
+        for job in self.lock().jobs.values() {
+            match job.state {
                 JobState::Queued => c.queued += 1,
                 JobState::Running => c.running += 1,
                 JobState::Succeeded => c.succeeded += 1,
@@ -558,25 +487,13 @@ impl JobQueue {
     /// Workers finish their in-flight job first — that is the graceful
     /// half of shutdown; the journal covers the ungraceful half.
     pub fn stop_workers(&self) {
-        self.inner.lock().expect("queue lock poisoned").stop = true;
+        self.lock().stop = true;
         self.ready.notify_all();
     }
 
     /// The configured attempt cap.
     pub fn max_attempts(&self) -> u32 {
         self.config.max_attempts
-    }
-}
-
-fn snapshot(id: u64, e: &JobEntry) -> JobSnapshot {
-    JobSnapshot {
-        id,
-        spec: e.spec.clone(),
-        state: e.state,
-        attempts: e.attempts,
-        cancel_requested: e.cancel_requested,
-        error: e.error.clone(),
-        model_version: e.model_version,
     }
 }
 
@@ -663,7 +580,7 @@ mod tests {
         let claim = q.claim().unwrap().unwrap();
         assert_eq!(claim.id, a);
         assert_eq!(q.cancel(a).unwrap(), CancelOutcome::CancelRequested);
-        assert!(q.cancel_requested(a));
+        assert!(q.get(a).unwrap().cancel_requested);
         assert!(!q.try_finish(a).unwrap(), "worker must drop the result");
         assert_eq!(q.get(a).unwrap().state, JobState::Cancelled);
         // Terminal: conflict.
@@ -675,6 +592,64 @@ mod tests {
         // The cancelled-when-queued job never reaches a worker.
         q.stop_workers();
         assert!(q.claim().unwrap().is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Reopen a copy of `path` (recovery appends to the journal it
+    /// opens) and assert it holds the same jobs as `live`, each equal to
+    /// the live snapshot unless it is running — replay requeues those.
+    fn assert_replay_matches(live: &JobQueue, path: &Path, step: &str) {
+        let copy = path.with_extension("replayed");
+        std::fs::copy(path, &copy).unwrap();
+        let replayed = JobQueue::open(&copy, live.config).unwrap();
+        std::fs::remove_file(&copy).ok();
+        let ids = |q: &JobQueue| q.list(None).iter().map(|j| j.id).collect::<Vec<_>>();
+        assert_eq!(ids(&replayed), ids(live), "after {step}");
+        for job in live.list(None) {
+            if job.state != JobState::Running {
+                assert_eq!(replayed.get(job.id).as_ref(), Some(&job), "after {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_rebuilds_every_live_snapshot() {
+        let path = temp_journal("replay");
+        let q = JobQueue::open(&path, QueueConfig { max_attempts: 2 }).unwrap();
+        let check = |step: &str| assert_replay_matches(&q, &path, step);
+
+        let a = q.submit(spec("a", 0)).unwrap();
+        check("submit");
+        assert_eq!(q.claim().unwrap().unwrap().id, a);
+        check("claim");
+        assert_eq!(q.fail(a, "boom").unwrap(), JobState::Queued);
+        check("fail with retry");
+        q.claim().unwrap().unwrap();
+        assert_eq!(q.fail(a, "boom again").unwrap(), JobState::Failed);
+        check("fail at the cap");
+
+        let b = q.submit(spec("b", 0)).unwrap();
+        assert_eq!(q.cancel(b).unwrap(), CancelOutcome::CancelledQueued);
+        check("cancel queued");
+
+        let c = q.submit(spec("c", 0)).unwrap();
+        q.claim().unwrap().unwrap();
+        assert_eq!(q.cancel(c).unwrap(), CancelOutcome::CancelRequested);
+        check("cancel running");
+        assert_eq!(q.fail(c, "boom").unwrap(), JobState::Cancelled);
+        check("fail with a cancel pending");
+
+        let d = q.submit(spec("d", 0)).unwrap();
+        q.claim().unwrap().unwrap();
+        assert_eq!(q.cancel(d).unwrap(), CancelOutcome::CancelRequested);
+        assert!(!q.try_finish(d).unwrap());
+        check("try_finish with a cancel pending");
+
+        let e = q.submit(spec("e", 0)).unwrap();
+        q.claim().unwrap().unwrap();
+        assert!(q.try_finish(e).unwrap());
+        q.complete(e, 7).unwrap();
+        check("complete");
         std::fs::remove_file(&path).ok();
     }
 

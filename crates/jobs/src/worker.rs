@@ -15,10 +15,11 @@
 //!
 //! Workers are scoped OS threads sized by `least_linalg::par` (the same
 //! `LEAST_NUM_THREADS` knob as every other pool in the workspace).
-//! Cancellation is cooperative: the cancel flag is checked at stage
-//! boundaries and once more — atomically with the state transition — in
-//! [`JobQueue::try_finish`] before the model is registered, so a
-//! cancelled job never publishes a model.
+//! Cancellation is cooperative: at every stage boundary, and once more
+//! before the model is registered, the worker passes the
+//! [`JobQueue::try_finish`] gate, which checks the cancel flag
+//! atomically with the state transition, so a cancelled job never
+//! publishes a model.
 
 use crate::error::Result;
 use crate::queue::{Claim, JobQueue, JobState};
@@ -153,17 +154,22 @@ impl JobRunner {
     /// `Ok(None)` = cancelled before publication; `Err` = attempt failed.
     fn execute(&self, claim: &Claim) -> std::result::Result<Option<u64>, String> {
         let spec = &claim.spec;
+        // The cancel gate, passed at every stage boundary and last before
+        // publishing: `false` means a pending cancel is now durable.
+        let gate = || {
+            self.queue
+                .try_finish(claim.id)
+                .map_err(|e| format!("queue: {e}"))
+        };
         let stats = load_stats(&claim.spec)
             .map_err(|e| format!("loading {}: {e}", spec.source.path().display()))?;
-
-        if self.queue.cancel_requested(claim.id) {
-            return self.observe_cancel(claim.id);
+        if !gate()? {
+            return Ok(None);
         }
 
         let structure = learn_structure(spec, &stats).map_err(|e| format!("structure: {e}"))?;
-
-        if self.queue.cancel_requested(claim.id) {
-            return self.observe_cancel(claim.id);
+        if !gate()? {
+            return Ok(None);
         }
 
         let sem = FittedSem::fit_from_stats(&structure, &stats)
@@ -186,10 +192,8 @@ impl JobRunner {
         // (a cancel arriving in the short insert→complete window below
         // gets a 202 but loses the race; the job's final state is the
         // truth and `cancel_requested` is cleared on completion).
-        match self.queue.try_finish(claim.id) {
-            Ok(true) => {}
-            Ok(false) => return Ok(None),
-            Err(e) => return Err(format!("queue: {e}")),
+        if !gate()? {
+            return Ok(None);
         }
         // Serialize before the insert consumes the artifact — but only
         // when the bytes will actually be persisted.
@@ -220,19 +224,6 @@ impl JobRunner {
             }
         }
         Ok(Some(version))
-    }
-
-    /// A stage boundary saw a pending cancel: make it durable through
-    /// the same gate the success path uses. (Cancel requests are never
-    /// withdrawn, so the gate always confirms; the `true` arm only
-    /// exists to keep the state machine honest if that ever changes —
-    /// it re-queues the job rather than losing it.)
-    fn observe_cancel(&self, id: u64) -> std::result::Result<Option<u64>, String> {
-        match self.queue.try_finish(id) {
-            Ok(true) => Err("cancel observed mid-pipeline but gate disagreed".into()),
-            Ok(false) => Ok(None),
-            Err(e) => Err(format!("queue: {e}")),
-        }
     }
 }
 

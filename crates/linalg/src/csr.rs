@@ -207,16 +207,6 @@ impl CsrMatrix {
         &self.row_ptr
     }
 
-    /// The row index of every stored entry, materialized. `O(nnz)`.
-    pub fn expand_row_indices(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for r in 0..self.rows {
-            let len = (self.row_ptr[r + 1] - self.row_ptr[r]) as usize;
-            out.extend(std::iter::repeat_n(r as u32, len));
-        }
-        out
-    }
-
     /// `(col_indices, values)` of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
@@ -614,16 +604,6 @@ mod tests {
         let sq = m.hadamard_square();
         assert_eq!(sq.nnz(), m.nnz());
         assert_eq!(sq.get(2, 1), 25.0);
-    }
-
-    #[test]
-    fn expand_row_indices_aligns_with_values() {
-        let m = sample();
-        let rows = m.expand_row_indices();
-        let triples: Vec<_> = m.iter().collect();
-        for (slot, &(r, _, _)) in triples.iter().enumerate() {
-            assert_eq!(rows[slot] as usize, r);
-        }
     }
 
     #[test]

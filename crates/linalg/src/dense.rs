@@ -173,13 +173,6 @@ impl DenseMatrix {
         }
     }
 
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise combination of two equally-shaped matrices.
     pub fn zip_with(&self, other: &Self, f: impl Fn(f64, f64) -> f64) -> Result<Self> {
         self.check_same_shape(other)?;

@@ -22,7 +22,6 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Hard cap on worker threads and on blocks per partition: past this,
 /// spawn overhead and memory bandwidth dominate for these kernels.
@@ -57,7 +56,7 @@ pub fn max_threads() -> usize {
         }
         // This sits on per-operation hot paths (every spmv/row-sum checks
         // it), so the environment is consulted exactly once per process.
-        static AUTO: OnceLock<usize> = OnceLock::new();
+        static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         *AUTO.get_or_init(|| {
             if let Some(n) = std::env::var("LEAST_NUM_THREADS")
                 .ok()

@@ -338,9 +338,14 @@ mod tests {
 
     #[test]
     fn round_trips_through_render() {
-        let src = r#"{"a":[1,2.5,null,true,"x\"y"],"b":{"c":false}}"#;
-        let v = parse(src).unwrap();
-        assert_eq!(parse(&v.render()).unwrap(), v);
+        for src in [
+            r#"{"a":[1,2.5,null,true,"x\"y"],"b":{"c":false}}"#,
+            r#""a\"b\\c\nd""#,
+        ] {
+            let v = parse(src).unwrap();
+            assert_eq!(v.render(), src);
+            assert_eq!(parse(&v.render()).unwrap(), v);
+        }
     }
 
     #[test]
